@@ -8,10 +8,6 @@ bounds, and linearized-Bregman sparse recovery.
 from .numkit import (
     GaussianStream,
     SpectralSummary,
-    gaussian_stream,
-    jacobi_eigh,
-    least_squares_min_norm,
-    matvec,
     spectral_norm_sq,
     sym_eig_summary,
 )

@@ -452,7 +452,7 @@ def check_bounds(
     _need(trace, oracle, dist=True, gap=True)
     nu = _constant(oracle, "nu")
     gap = _gap_of(trace, oracle)
-    valid = r >= 1e-12
+    valid = (r >= 1e-12) & (gap >= gap[0] * 1e-15)  # below fp resolution: vacuous
     viol = _violations(0.5 * nu * r[valid] ** 2, gap[valid])
     return _report(theorem_id, viol, ks[valid])
 

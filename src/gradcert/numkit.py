@@ -1,9 +1,10 @@
 """Dense linear algebra, spectral estimates, and deterministic random streams.
 
-Everything here is plain float64 numpy with no hidden state: the eigensolver
-is cyclic Jacobi, the spectral norm comes from power iteration, and the
-random stream is a counter-based generator (splitmix64 + Box-Muller) whose
-output depends only on (seed, position).
+Everything here is plain float64 numpy with no hidden state: eigenvalues
+and linear solves come from LAPACK through `numpy.linalg`, the spectral
+norm of a rectangular matrix comes from power iteration, and the random
+stream is a counter-based generator (splitmix64 + Box-Muller) whose output
+depends only on (seed, position).
 """
 
 from __future__ import annotations
@@ -17,22 +18,13 @@ import numpy as np
 __all__ = [
     "as_vector",
     "as_matrix",
-    "matvec",
     "PowerIterationResult",
     "gram_spectral_norm",
     "spectral_norm_sq",
-    "jacobi_eigh",
     "SpectralSummary",
     "sym_eig_summary",
-    "least_squares_min_norm",
     "GaussianStream",
-    "gaussian_stream",
-    "save_csv",
-    "load_matrix_csv",
-    "load_vector_csv",
 ]
-
-_JACOBI_MAX_DIM = 1024
 
 
 def as_vector(x) -> np.ndarray:
@@ -53,18 +45,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def matvec(a, x) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check."""
-    A = as_matrix(a)
-    v = as_vector(x)
-    if A.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {A.shape[0]}x{A.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return A @ v
 
 
 class PowerIterationResult(NamedTuple):
@@ -114,70 +94,10 @@ def spectral_norm_sq(a) -> float:
 
 
 def _check_symmetric(S: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(S))) if S.size else 0.0)
-    asym = float(np.max(np.abs(S - S.T))) if S.size else 0.0
+    scale = max(1.0, float(np.max(np.abs(S))))
+    asym = float(np.max(np.abs(S - S.T)))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-
-
-def jacobi_eigh(s, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(vals, V)`` with eigenvalues ascending and ``S = V diag(vals) V^T``.
-    Sweeps continue until the off-diagonal Frobenius norm drops below
-    1e-12 (scaled by the matrix norm so large matrices terminate in float64).
-    """
-    S = as_matrix(s)
-    n = S.shape[0]
-    if S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    if n > _JACOBI_MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds the Jacobi solver cap {_JACOBI_MAX_DIM}")
-    _check_symmetric(S)
-
-    M = 0.5 * (S + S.T)
-    V = np.eye(n)
-    fro = float(np.linalg.norm(M))
-    tol = 1e-12 * max(1.0, fro)
-    rot_tol = tol / max(1, 2 * n * n)
-
-    def off_norm() -> float:
-        od = M - np.diag(np.diag(M))
-        return float(np.linalg.norm(od))
-
-    for _ in range(max_sweeps):
-        if off_norm() < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) <= rot_tol:
-                    continue
-                tau = (M[q, q] - M[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sgn = t * c
-                col_p = M[:, p].copy()
-                col_q = M[:, q].copy()
-                M[:, p] = c * col_p - sgn * col_q
-                M[:, q] = sgn * col_p + c * col_q
-                row_p = M[p, :].copy()
-                row_q = M[q, :].copy()
-                M[p, :] = c * row_p - sgn * row_q
-                M[q, :] = sgn * row_p + c * row_q
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-                vcol_p = V[:, p].copy()
-                vcol_q = V[:, q].copy()
-                V[:, p] = c * vcol_p - sgn * vcol_q
-                V[:, q] = sgn * vcol_p + c * vcol_q
-    else:
-        if off_norm() > 1e-10 * max(1.0, fro):
-            raise ArithmeticError("Jacobi sweeps failed to converge")
-
-    vals = np.diag(M).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], V[:, order]
 
 
 @dataclass(frozen=True)
@@ -203,8 +123,12 @@ class SpectralSummary:
 
 
 def sym_eig_summary(s) -> SpectralSummary:
-    """SpectralSummary of a symmetric matrix via the Jacobi eigensolver."""
-    vals, _ = jacobi_eigh(s)
+    """SpectralSummary of a symmetric matrix from its LAPACK eigenvalues."""
+    S = as_matrix(s)
+    if S.shape[0] != S.shape[1] or S.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {S.shape}")
+    _check_symmetric(S)
+    vals = np.linalg.eigvalsh(S)  # ascending
     lam_max = float(vals[-1])
     lam_min = float(vals[0])
     zero_cut = 1e-10 * max(lam_max, 0.0)
@@ -215,53 +139,7 @@ def sym_eig_summary(s) -> SpectralSummary:
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L L^T z = b`` for a lower-triangular L; b may be (n,) or (n, k)."""
-    n = L.shape[0]
-    y = np.empty_like(np.asarray(b, dtype=np.float64))
-    for i in range(n):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    z = np.empty_like(y)
-    for i in range(n - 1, -1, -1):
-        z[i] = (y[i] - L[i + 1 :, i] @ z[i + 1 :]) / L[i, i]
-    return z
-
-
-def least_squares_min_norm(a, t) -> np.ndarray:
-    """Minimum-norm solution of ``A x = t`` for a full-row-rank A.
-
-    Solves ``A A^T z = t`` by Cholesky and returns ``x = A^T z``. Rank
-    deficiency (smallest eigenvalue of ``A A^T`` below ``1e-12 * largest``)
-    is rejected.
-    """
-    A = as_matrix(a)
-    rhs = as_vector(t)
-    if A.shape[0] != rhs.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {A.shape[0]}x{A.shape[1]}, "
-            f"target has length {rhs.shape[0]}"
-        )
-    G = A @ A.T
-    G = 0.5 * (G + G.T)
-    summary = sym_eig_summary(G)
-    if summary.lambda_min <= 1e-12 * summary.lambda_max:
-        raise ValueError(
-            f"rank-deficient matrix: lambda_min(AA^T) = {summary.lambda_min:.6e}"
-        )
-    L = np.linalg.cholesky(G)
-    z = cholesky_solve(L, rhs)
-    x = A.T @ z
-    resid = rhs - A @ x
-    bound = 1e-10 * (1.0 + float(np.linalg.norm(rhs)))
-    if float(np.linalg.norm(resid)) > bound:
-        # one step of iterative refinement before giving up
-        z = z + cholesky_solve(L, resid)
-        x = A.T @ z
-        resid = rhs - A @ x
-        if float(np.linalg.norm(resid)) > bound:
-            raise ArithmeticError(
-                f"min-norm solve residual {float(np.linalg.norm(resid)):.3e} "
-                f"exceeds bound {bound:.3e}"
-            )
-    return x
+    return np.linalg.solve(L.T, np.linalg.solve(L, b))
 
 
 _U64 = np.uint64
@@ -350,42 +228,3 @@ class GaussianStream:
     def split(self, i: int) -> "GaussianStream":
         """Independent derived stream for trial i (seed XOR i)."""
         return GaussianStream(int(self.seed) ^ int(i))
-
-
-def gaussian_stream(seed: int) -> GaussianStream:
-    """Deterministic standard-normal stream for the given seed."""
-    return GaussianStream(seed)
-
-
-def save_csv(path, array) -> None:
-    """Write a vector or matrix as headerless comma-separated rows."""
-    a = np.asarray(array, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ValueError(f"expected 1-D or 2-D data, got shape {a.shape}")
-    with open(path, "w", encoding="ascii") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"no data in {path}")
-    return as_matrix(np.array(rows))
-
-
-def load_vector_csv(path) -> np.ndarray:
-    m = load_matrix_csv(path)
-    if m.shape[0] == 1:
-        return m[0]
-    if m.shape[1] == 1:
-        return m[:, 0]
-    raise ValueError(f"expected a single row or column in {path}, got {m.shape}")

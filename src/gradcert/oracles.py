@@ -233,7 +233,7 @@ def make_quadratic_composite(a, b) -> Objective:
         raise ValueError(
             f"A must have full row rank: lambda_min(AA^T) = {summary.lambda_min:.6e}"
         )
-    norm_sq = spectral_norm_sq(A)
+    norm_sq = summary.lambda_max  # ||A||^2 = lambda_max(A A^T)
     chol = np.linalg.cholesky(gram)
     # fixed projector onto {x : Ax = b}: A^T (A A^T)^{-1}, built once
     proj = A.T @ cholesky_solve(chol, np.eye(m))
@@ -317,7 +317,7 @@ def compose_constants(g_constants: KnownConstants, a, mode: str) -> KnownConstan
         raise ValueError("composition requires g's Lipschitz constant L")
     if g_constants.nu is None:
         raise ValueError("composition requires g's modulus nu")
-    norm_sq = spectral_norm_sq(A)
+    # ||A||^2 is lambda_max of either Gram matrix
     if mode == "surjective":
         gram = A @ A.T
         summary = sym_eig_summary(0.5 * (gram + gram.T))
@@ -326,14 +326,16 @@ def compose_constants(g_constants: KnownConstants, a, mode: str) -> KnownConstan
                 f"surjective mode needs full row rank: lambda_min(AA^T) = "
                 f"{summary.lambda_min:.6e}"
             )
-        return KnownConstants(L=g_constants.L * norm_sq, nu=g_constants.nu * summary.lambda_min)
+        return KnownConstants(
+            L=g_constants.L * summary.lambda_max, nu=g_constants.nu * summary.lambda_min
+        )
     if mode == "strictly_convex":
         gram = A.T @ A
         summary = sym_eig_summary(0.5 * (gram + gram.T))
         if summary.lambda_min_pp is None:
             raise ValueError("A^T A has no strictly positive eigenvalue")
         return KnownConstants(
-            L=g_constants.L * norm_sq, nu=g_constants.nu * summary.lambda_min_pp
+            L=g_constants.L * summary.lambda_max, nu=g_constants.nu * summary.lambda_min_pp
         )
     raise ValueError(f"unknown composition mode {mode!r}")
 

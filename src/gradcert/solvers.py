@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .numkit import as_vector
 from .oracles import Objective
 
 __all__ = [
-    "ThetaStep",
     "theta_step",
     "SolverConfig",
     "SolverTrace",
@@ -39,12 +38,7 @@ _sqrt = math.sqrt  # bound locally: theta_step sits on the per-iteration hot pat
 Callback = Callable[[int, np.ndarray, float, np.ndarray], None]
 
 
-class ThetaStep(NamedTuple):
-    theta: float
-    beta: float
-
-
-def theta_step(theta_k: float) -> ThetaStep:
+def theta_step(theta_k: float) -> tuple[float, float]:
     """One update of the acceleration dampening sequence.
 
     From theta_k in (0, 1] returns (theta_{k+1}, beta_{k+1}) with
@@ -61,7 +55,7 @@ def theta_step(theta_k: float) -> ThetaStep:
     root = _sqrt(theta_k * theta_k + 4.0)
     theta_next = 2.0 * theta_k / (root + theta_k)
     beta_next = (1.0 - theta_k) * theta_next / theta_k
-    return ThetaStep(theta_next, beta_next)
+    return theta_next, beta_next
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,23 @@ def test_check_bounds_trivial_at_optimum(quad_20x50):
         assert check_bounds(tr, quad_20x50, tid, cfg).passed, tid
 
 
+def test_lemma3_skips_gaps_below_resolution():
+    unit = make_quadratic_composite(np.array([[1.0]]), np.array([0.0]))  # nu = 1
+    cfg = SolverConfig(stepsize_h=0.5, max_iters=3, variant="gd")
+    gap = np.array([1.0, 0.5, 0.25, 1e-21])
+    # growth holds with room to spare except in the roundoff tail, where
+    # (nu/2) r^2 = 1.01 gap at r ~ 4.5e-11, well above the 1e-12 cut
+    tail = np.sqrt(gap)
+    tail[-1] = math.sqrt(2.0 * 1.01 * gap[-1])
+    assert check_bounds(make_trace(gap, dist=tail), unit, "lemma3_growth", cfg).passed
+    bad = np.sqrt(gap)
+    bad[2] = math.sqrt(2.0 * 1.01 * gap[2])
+    report = check_bounds(make_trace(gap, dist=bad), unit, "lemma3_growth", cfg)
+    assert not report.passed
+    assert report.first_fail_k == 2
+    assert report.max_violation == pytest.approx(0.01, rel=1e-9)
+
+
 def test_check_bounds_rejects_missing_capability():
     from gradcert.oracles import make_augl1_dual
 

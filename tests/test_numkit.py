@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,17 +5,11 @@ from gradcert.numkit import (
     GaussianStream,
     as_matrix,
     as_vector,
-    gaussian_stream,
     gram_spectral_norm,
-    jacobi_eigh,
-    least_squares_min_norm,
-    load_matrix_csv,
-    load_vector_csv,
-    matvec,
-    save_csv,
     spectral_norm_sq,
     sym_eig_summary,
 )
+from gradcert.oracles import make_quadratic_composite
 
 
 def test_as_vector_rejects_nonfinite():
@@ -25,39 +17,6 @@ def test_as_vector_rejects_nonfinite():
         as_vector([1.0, np.nan])
     with pytest.raises(ValueError):
         as_matrix([[np.inf, 0.0]])
-
-
-def test_matvec_identity():
-    assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-
-def test_matvec_hand_sum():
-    assert np.array_equal(matvec([[1.0, 1.0]], [2.0, 5.0]), [7.0])
-
-
-def test_matvec_against_loop_summation():
-    a = GaussianStream(7).normal((5, 10))
-    x = np.ones(10)
-    got = matvec(a, x)
-    # independent summation, one scalar product at a time
-    want = np.array([math.fsum(a[i, j] * x[j] for j in range(10)) for i in range(5)])
-    assert np.allclose(got, want, rtol=1e-14, atol=0)
-
-
-def test_matvec_dimension_mismatch_names_sizes():
-    with pytest.raises(ValueError, match="3x4"):
-        matvec(np.ones((3, 4)), np.ones(5))
-
-
-def test_matvec_linearity():
-    stream = GaussianStream(5)
-    a = stream.normal((8, 6))
-    for _ in range(20):
-        x, y = stream.normal(6), stream.normal(6)
-        ca, cb = float(stream.normal(1)[0]), float(stream.normal(1)[0])
-        lhs = matvec(a, ca * x + cb * y)
-        rhs = ca * matvec(a, x) + cb * matvec(a, y)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_spectral_norm_identity():
@@ -72,7 +31,7 @@ def test_spectral_norm_matches_jacobi():
     a = GaussianStream(3).normal((20, 50))
     res = gram_spectral_norm(a)
     assert res.converged
-    vals, _ = jacobi_eigh(a @ a.T)
+    vals = np.linalg.eigvalsh(a @ a.T)
     assert res.value == pytest.approx(vals[-1], rel=1e-8)
 
 
@@ -129,62 +88,70 @@ def test_jacobi_matches_bisection_on_gram():
     a = GaussianStream(9).normal((5, 10))
     s = a @ a.T
     s = 0.5 * (s + s.T)
-    vals, _ = jacobi_eigh(s)
-    roots = _eig_by_bisection(s)
+    summary = sym_eig_summary(s)
+    roots = np.sort(_eig_by_bisection(s))
     assert roots.size == 5
-    assert np.allclose(np.sort(vals), np.sort(roots), rtol=1e-8, atol=1e-8)
-
-
-def test_jacobi_reconstruction_and_orthonormality():
-    for seed in (1, 2, 3):
-        a = GaussianStream(seed).normal((8, 8))
-        s = 0.5 * (a + a.T)
-        vals, vecs = jacobi_eigh(s)
-        recon = vecs @ np.diag(vals) @ vecs.T
-        assert np.linalg.norm(recon - s) <= 1e-10 * max(1.0, np.linalg.norm(s))
-        assert np.linalg.norm(vecs.T @ vecs - np.eye(8)) <= 1e-10
+    assert np.allclose(
+        [summary.lambda_min, summary.lambda_max], roots[[0, -1]], rtol=1e-8, atol=1e-8
+    )
 
 
 def test_jacobi_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        jacobi_eigh([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig_summary([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_eig_summary_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        sym_eig_summary(np.ones((2, 3)))
+
+
+def test_eig_summary_has_no_size_cap():
+    s = sym_eig_summary(np.diag(np.arange(1.0, 1026.0)))
+    assert (s.lambda_max, s.lambda_min, s.lambda_min_pp) == (1025.0, 1.0, 1.0)
+
+
+def _min_norm(a, t):
+    """Minimum-norm solution of ``A x = t``: the quad projection of the origin."""
+    a = np.asarray(a, dtype=np.float64)
+    return make_quadratic_composite(a, t).project(np.zeros(a.shape[1]))
 
 
 def test_min_norm_identity():
     b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(least_squares_min_norm(np.eye(3), b), b, rtol=1e-12)
+    assert np.allclose(_min_norm(np.eye(3), b), b, rtol=1e-12)
 
 
 def test_min_norm_symmetry_case():
-    x = least_squares_min_norm(np.array([[1.0, 1.0]]), [2.0])
+    x = _min_norm(np.array([[1.0, 1.0]]), [2.0])
     assert np.allclose(x, [1.0, 1.0], rtol=1e-12)
 
 
 def test_min_norm_feasible_and_shortest():
     a = GaussianStream(7).normal((5, 10))
     t = a @ np.ones(10)
-    x = least_squares_min_norm(a, t)
+    x = _min_norm(a, t)
     assert np.linalg.norm(a @ x - t) <= 1e-10 * (1 + np.linalg.norm(t))
     assert np.linalg.norm(x) <= np.linalg.norm(np.ones(10)) + 1e-12
 
 
 def test_min_norm_output_in_row_space():
     a = GaussianStream(8).normal((4, 9))
-    x = least_squares_min_norm(a, a @ GaussianStream(9).normal(9))
+    x = _min_norm(a, a @ GaussianStream(9).normal(9))
     # component orthogonal to the row space must vanish
-    z = least_squares_min_norm(a, a @ x)  # projection of x onto row space
+    z = _min_norm(a, a @ x)  # projection of x onto row space
     assert np.linalg.norm(x - z) <= 1e-10 * (1 + np.linalg.norm(x))
 
 
 def test_min_norm_rejects_rank_deficient():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ValueError, match="lambda_min"):
-        least_squares_min_norm(a, [1.0, 2.0])
+        _min_norm(a, [1.0, 2.0])
 
 
 def test_stream_same_seed_bitwise():
-    d1 = gaussian_stream(42).normal(1000)
-    d2 = gaussian_stream(42).normal(1000)
+    d1 = GaussianStream(42).normal(1000)
+    d2 = GaussianStream(42).normal(1000)
     assert np.array_equal(d1, d2)
 
 
@@ -196,7 +163,7 @@ def test_stream_chunking_invariant():
 
 
 def test_stream_moments():
-    draws = gaussian_stream(1).normal(10**6)
+    draws = GaussianStream(1).normal(10**6)
     assert -0.01 < draws.mean() < 0.01
     assert 0.99 < draws.var() < 1.01
 
@@ -223,15 +190,3 @@ def test_stream_subset_uniform_and_sorted():
         counts[s2.subset(6, 2)] += 1
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 1 / 6) < 0.02)
-
-
-def test_csv_roundtrip(tmp_path):
-    a = GaussianStream(2).normal((4, 7))
-    path = tmp_path / "m.csv"
-    save_csv(path, a)
-    assert np.array_equal(load_matrix_csv(path), a)
-    v = GaussianStream(3).normal(9)
-    save_csv(tmp_path / "v.csv", v)
-    assert np.array_equal(load_vector_csv(tmp_path / "v.csv"), v)
-    text = path.read_text()
-    assert "," in text and "." in text and not text.splitlines()[0][0].isalpha()
