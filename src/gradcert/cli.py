@@ -297,6 +297,7 @@ def _cmd_recover(args: argparse.Namespace, out: Path) -> int:
     summary = {
         "variant": result.variant,
         "iters": result.iters,
+        "n_evals": result.dual_trace.n_evals,
         "status": result.dual_trace.status,
         "final_rel_error": None
         if result.rel_error_curve is None

@@ -77,7 +77,8 @@ class Objective:
     ``eval(x) -> (f, grad)`` for a single point; ``eval_batch`` (optional)
     takes an ``(s, dim)`` array and returns ``((s,), (s, dim))``. ``project``
     (optional) maps a point, or an ``(s, dim)`` batch, to the nearest
-    minimizer.
+    minimizer. ``primal`` (optional, dual oracles only) maps a dual point
+    to its primal point.
     """
 
     dim: int
@@ -87,6 +88,7 @@ class Objective:
     f_star: float | None = None
     eval_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     name: str = ""
+    primal: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +274,11 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     i.e. minus the primal residual of the recovered point. Only
     ``L = alpha * ||A||^2`` is known; the solution set has no closed form,
     so there is no projection and no f_star.
+
+    ``primal(y)`` returns ``x(y)``. ``eval`` keeps a copy of its last point
+    and the ``x(y)`` it computed there, so ``primal`` of that same point
+    costs no matrix product; the returned array is that stored one and must
+    not be written to. Any other point is computed afresh.
     """
     A = as_matrix(a)
     rhs = as_vector(b)
@@ -283,10 +290,20 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     if not A.any() or not rhs.any():
         raise ValueError("A and b must both be nonzero")
 
+    last = None  # (y, x(y)) of the latest eval, replaced as one pair
+
     def eval_one(y):
+        nonlocal last
         s = shrink(A.T @ y, 1.0)
         primal = alpha * s
+        last = (np.array(y, dtype=np.float64), primal)
         return 0.5 * alpha * float(s @ s) - float(rhs @ y), A @ primal - rhs
+
+    def primal_of(y):
+        seen = last
+        if seen is not None and np.array_equal(y, seen[0]):
+            return seen[1]
+        return alpha * shrink(A.T @ y, 1.0)
 
     def eval_batch(ys):
         s = shrink(ys @ A, 1.0)
@@ -299,6 +316,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         constants=KnownConstants(L=alpha * spectral_norm_sq(A)),
         eval_batch=eval_batch,
         name=f"augl1-dual[{m}x{n}]",
+        primal=primal_of,
     )
 
 

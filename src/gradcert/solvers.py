@@ -99,6 +99,9 @@ class SolverTrace:
     ``dist_to_sol`` is present only when the oracle has a projection;
     ``iterates`` only when the run kept them. ``reset_event`` marks epoch
     boundaries ("restart") and adaptive reactions ("restart"/"skip").
+    ``n_evals`` is the number of ``oracle.eval`` calls the run made; it is
+    None for traces not produced by a solver run (hand-built or read back
+    with `load_trace_csv`).
     """
 
     f: np.ndarray
@@ -108,6 +111,7 @@ class SolverTrace:
     status: str
     f_star: float | None = None
     iterates: tuple[np.ndarray, ...] | None = None
+    n_evals: int | None = None
 
     def __len__(self) -> int:
         return int(self.f.shape[0])
@@ -215,7 +219,7 @@ class _TraceBuilder:
         if self.callback is not None:
             self.callback(k, x, float(fv), g)
 
-    def freeze(self, status: str, f_star: float | None) -> SolverTrace:
+    def freeze(self, status: str, f_star: float | None, n_evals: int) -> SolverTrace:
         return SolverTrace(
             f=np.array(self.f),
             grad_norm=np.array(self.grad_norm),
@@ -224,6 +228,7 @@ class _TraceBuilder:
             status=status,
             f_star=f_star,
             iterates=None if self.iterates is None else tuple(self.iterates),
+            n_evals=n_evals,
         )
 
 
@@ -252,6 +257,7 @@ def gradient_descent(
     tb = _TraceBuilder(oracle, callback, keep_iterates)
     tb.push(x, f_x, g_x, "none")
     thresh = _divergence_threshold(f_x, oracle.f_star)
+    n_evals = 1  # the start point
     status = "max_iters"
     while True:
         k = len(tb.f) - 1
@@ -263,6 +269,7 @@ def gradient_descent(
             break
         x = x - cfg.stepsize_h * g_x
         f_x, g_x = oracle.eval(x)
+        n_evals += 1
         if not _finite(f_x, g_x):
             status = "diverged"
             break
@@ -270,7 +277,7 @@ def gradient_descent(
         if f_x > thresh:
             status = "diverged"
             break
-    return tb.freeze(status, oracle.f_star)
+    return tb.freeze(status, oracle.f_star, n_evals)
 
 
 def _accelerated(
@@ -290,6 +297,7 @@ def _accelerated(
     y_eval: tuple[float, np.ndarray] | None = (f_x, g_x)
     prev_y: np.ndarray | None = None
     prev_gy: np.ndarray | None = None
+    n_evals = 1  # the start point
     status = "max_iters"
 
     while True:
@@ -308,6 +316,7 @@ def _accelerated(
             tb.events[-1] = "restart"
         if y_eval is None:
             fy, gy = oracle.eval(y)
+            n_evals += 1
             if not _finite(fy, gy):
                 status = "diverged"
                 break
@@ -336,6 +345,7 @@ def _accelerated(
         theta = theta_next
 
         f_x, g_x = oracle.eval(x_next)
+        n_evals += 1
         if not _finite(f_x, g_x):
             status = "diverged"
             break
@@ -345,7 +355,7 @@ def _accelerated(
         if f_x > thresh:
             status = "diverged"
             break
-    return tb.freeze(status, oracle.f_star)
+    return tb.freeze(status, oracle.f_star, n_evals)
 
 
 def nesterov(

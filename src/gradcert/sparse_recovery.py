@@ -9,6 +9,7 @@ objective; the primal iterate falls out of each dual point y as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,11 @@ class SparseProblem:
 
     Consistency ``b = A x_true`` holds by construction. ``alpha`` is the
     augmentation weight of the recovery model (default 10 ||x_true||_inf).
+    ``dual`` is the problem's augmented-l1 dual oracle, built on first use
+    and then kept, so ``||A||^2`` is estimated once per problem however many
+    recoveries run on it. `gen_sparse_problem` makes ``A``, ``b`` and
+    ``x_true`` read-only so that the kept oracle cannot go stale; a problem
+    built by hand must not change its arrays after ``dual`` is first read.
     """
 
     A: np.ndarray
@@ -49,6 +55,10 @@ class SparseProblem:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def dual(self) -> Objective:
+        return make_augl1_dual(self.A, self.b, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -108,7 +118,7 @@ def gen_sparse_problem(
     Nonzero amplitudes are standard normal (``signal="gaussian"``) or
     equiprobable +-1 (``signal="pm_one"``). Identical seeds give bitwise
     identical problems. ``alpha`` defaults to ``10 ||x_true||_inf`` (1.0 for
-    the degenerate all-zero signal).
+    the degenerate all-zero signal). The returned arrays are read-only.
     """
     if not m < n:
         raise ValueError(f"need m < n, got m = {m}, n = {n}")
@@ -130,7 +140,10 @@ def gen_sparse_problem(
         alpha = 10.0 * peak if peak > 0 else 1.0
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    return SparseProblem(A=A, b=A @ x_true, x_true=x_true, alpha=float(alpha), seed=int(seed))
+    b = A @ x_true
+    for arr in (A, b, x_true):
+        arr.setflags(write=False)
+    return SparseProblem(A=A, b=b, x_true=x_true, alpha=float(alpha), seed=int(seed))
 
 
 def lbreg_step(problem: SparseProblem, y, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -157,6 +170,7 @@ def _degenerate_result(problem: SparseProblem, variant: str) -> RecoveryResult:
         status="tol_reached",
         f_star=None,
         iterates=(y0,),
+        n_evals=0,
     )
     return RecoveryResult(
         x_final=np.zeros(problem.n),
@@ -181,6 +195,9 @@ def recover(
     ``||A x - b|| < 1e-14 ||b||`` (the dual gradient norm *is* that residual)
     or the budget runs out. ``variant`` is one of "gd", "nesterov",
     "restart", "skip" (the last two are the adaptive reset policies).
+    The solver runs on ``problem.dual``, so repeated recoveries on one
+    problem share one oracle, and the primal point of each iterate is the
+    one that oracle computed in the evaluation just made.
     """
     if variant not in RECOVERY_VARIANTS:
         raise ValueError(f"unknown recovery variant {variant!r}")
@@ -188,7 +205,7 @@ def recover(
     if b_norm == 0.0:
         return _degenerate_result(problem, variant)
 
-    oracle: Objective = make_augl1_dual(problem.A, problem.b, problem.alpha)
+    oracle = problem.dual
     if h is None:
         h = 1.0 / oracle.constants.L
     cfg = SolverConfig(
@@ -206,18 +223,19 @@ def recover(
     res_curve: list[float] = []
     last_primal = np.zeros(problem.n)
 
+    primal_of = oracle.primal
+
     def observe(_k: int, y: np.ndarray, _f: float, g: np.ndarray) -> None:
         nonlocal last_primal
-        primal = problem.alpha * shrink(problem.A.T @ y, 1.0)
-        last_primal = primal
+        last_primal = primal_of(y)  # the oracle's array: read, never written
         # the dual gradient is A x(y) - b, so its norm is the primal residual
         res_curve.append(float(np.linalg.norm(g)))
         if rel_curve is not None:
-            rel_curve.append(float(np.linalg.norm(primal - problem.x_true)) / x_norm)
+            rel_curve.append(float(np.linalg.norm(last_primal - problem.x_true)) / x_norm)
 
     trace = run_solver(oracle, np.zeros(problem.m), cfg, callback=observe, keep_iterates=False)
     return RecoveryResult(
-        x_final=last_primal,
+        x_final=last_primal.copy(),
         rel_error_curve=None if rel_curve is None else np.array(rel_curve),
         primal_residual_curve=np.array(res_curve),
         iters=len(trace),

@@ -112,6 +112,7 @@ def test_recover_paper_test2_configuration(tmp_path):
     assert summary["status"] == "tol_reached"
     assert summary["final_rel_error"] < 1e-6
     assert summary["alpha"] == 10.0
+    assert summary["iters"] <= summary["n_evals"] < 2 * summary["iters"]
     lines = (out / "recovery.csv").read_text().splitlines()
     assert lines[0] == "k,rel_error,primal_residual,reset_event"
     ET.parse(out / "recovery.svg")

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from decimal import Decimal, getcontext
@@ -13,6 +14,7 @@ from gradcert.solvers import (
     nesterov,
     nesterov_adaptive,
     nesterov_restart_fixed,
+    run_solver,
     theta_step,
 )
 from conftest import seeded_quad
@@ -344,6 +346,8 @@ def test_trace_csv_roundtrip(tmp_path, quad_20x50):
     assert np.array_equal(back.dist_to_sol, tr.dist_to_sol)
     assert back.reset_event == tr.reset_event
     assert back.f_star == tr.f_star
+    assert tr.n_evals == len(tr)
+    assert back.n_evals is None  # the CSV does not carry the oracle-call count
 
 
 def test_trace_csv_header_and_blanks():
@@ -381,3 +385,43 @@ def test_keep_iterates_off(quad_20x50):
     tr = gradient_descent(quad_20x50, np.ones(50), cfg, keep_iterates=False)
     assert tr.iterates is None
     assert len(tr) == 11
+
+
+def _counting(oracle):
+    calls = []
+
+    def eval_(x):
+        calls.append(1)
+        return oracle.eval(x)
+
+    return dataclasses.replace(oracle, eval=eval_), calls
+
+
+@pytest.mark.parametrize(
+    "variant, extra",
+    [
+        ("gd", {}),
+        ("gd", {"grad_tol": 1e-3}),
+        ("nesterov", {}),
+        ("restart_fixed", {"restart_every": 7}),
+        ("adaptive", {"policy": "restart"}),
+        ("adaptive", {"policy": "skip"}),
+    ],
+)
+def test_n_evals_counts_every_oracle_call(quad_20x50, variant, extra):
+    oracle, calls = _counting(quad_20x50)
+    cfg = SolverConfig(1.0 / quad_20x50.constants.R, 200, variant=variant, **extra)
+    tr = run_solver(oracle, np.ones(50), cfg, keep_iterates=False)
+    assert tr.n_evals == len(calls)
+    if variant == "gd":
+        assert tr.n_evals == len(tr)
+    else:
+        assert len(tr) <= tr.n_evals <= 2 * len(tr) - 1
+
+
+def test_n_evals_counts_the_diverging_call(quad_20x50):
+    oracle, calls = _counting(quad_20x50)
+    cfg = SolverConfig(3.0 / quad_20x50.constants.L, 10_000, variant="nesterov")
+    tr = run_solver(oracle, np.ones(50), cfg, keep_iterates=False)
+    assert tr.status == "diverged"
+    assert tr.n_evals == len(calls)

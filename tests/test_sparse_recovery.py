@@ -1,13 +1,14 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
+from gradcert import numkit, sparse_recovery
 from gradcert.certify import fit_rate
 from gradcert.numkit import GaussianStream
-from gradcert.oracles import make_augl1_dual
 from gradcert.solvers import SolverTrace
-from gradcert.sparse_recovery import gen_sparse_problem, lbreg_step, recover
+from gradcert.sparse_recovery import RECOVERY_VARIANTS, gen_sparse_problem, lbreg_step, recover
 from gradcert.oracles import shrink
 
 
@@ -92,9 +93,16 @@ def test_lbreg_fixed_point_hand_case():
     assert np.array_equal(y_next, [1.0])
 
 
+def test_gen_arrays_are_read_only():
+    p = small_problem()
+    for arr in (p.A, p.b, p.x_true):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_lbreg_step_equals_dual_gradient_step():
     p = small_problem()
-    dual = make_augl1_dual(p.A, p.b, p.alpha)
+    dual = p.dual
     y = GaussianStream(9).normal(p.m)
     h = 0.01
     _, y_next = lbreg_step(p, y, h)
@@ -129,7 +137,7 @@ def test_recover_primal_dual_consistency():
     # replay the first dual iterates: b - A x^(k+1) must equal the ascent
     # direction of the dual update
     p = small_problem()
-    dual = make_augl1_dual(p.A, p.b, p.alpha)
+    dual = p.dual
     h = 1.0 / dual.constants.L
     y = np.zeros(p.m)
     for _ in range(25):
@@ -146,6 +154,7 @@ def test_recover_degenerate_zero_signal():
     assert res.rel_error_curve is None
     assert not res.x_final.any()
     assert res.primal_residual_curve[0] == 0.0
+    assert res.dual_trace.n_evals == 0
 
 
 def test_recover_iterations_to():
@@ -186,6 +195,73 @@ def test_recovery_csv_schema():
 
 def test_recover_custom_stepsize_still_converges():
     p = small_problem()
-    dual_l = make_augl1_dual(p.A, p.b, p.alpha).constants.L
+    dual_l = p.dual.constants.L
     res = recover(p, "gd", h=0.5 / dual_l, max_iters=100_000)
     assert res.dual_trace.status == "tol_reached"
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_dual_built_once_per_problem(monkeypatch):
+    builds = _counting(monkeypatch, sparse_recovery, "make_augl1_dual")
+    powers = _counting(monkeypatch, numkit, "gram_spectral_norm")
+    p = small_problem()
+    assert not builds  # built on first use, not by gen_sparse_problem
+    for variant in RECOVERY_VARIANTS:
+        recover(p, variant, max_iters=50_000)
+    assert len(builds) == 1
+    assert len(powers) == 1
+
+
+def _assert_same_result(r1, r2):
+    for a, b in (
+        (r1.dual_trace.f, r2.dual_trace.f),
+        (r1.dual_trace.grad_norm, r2.dual_trace.grad_norm),
+        (r1.rel_error_curve, r2.rel_error_curve),
+        (r1.primal_residual_curve, r2.primal_residual_curve),
+        (r1.x_final, r2.x_final),
+    ):
+        assert np.array_equal(a, b)
+    assert r1.dual_trace.reset_event == r2.dual_trace.reset_event
+    assert r1.dual_trace.n_evals == r2.dual_trace.n_evals
+
+
+@pytest.mark.parametrize("variant", RECOVERY_VARIANTS)
+def test_recover_on_shared_dual_is_bitwise_repeatable(variant):
+    p = small_problem()
+    first = recover(p, variant, max_iters=50_000)
+    again = recover(p, variant, max_iters=50_000)
+    fresh = recover(small_problem(), variant, max_iters=50_000)
+    _assert_same_result(first, again)
+    _assert_same_result(first, fresh)
+
+
+def test_x_final_does_not_alias_the_oracle_memo(monkeypatch):
+    handed_out = []
+    build = sparse_recovery.make_augl1_dual
+
+    def spying_build(*args):
+        dual = build(*args)
+
+        def primal(y):
+            handed_out.append(dual.primal(y))
+            return handed_out[-1]
+
+        return dataclasses.replace(dual, primal=primal)
+
+    monkeypatch.setattr(sparse_recovery, "make_augl1_dual", spying_build)
+    p = small_problem()
+    res = recover(p, "skip", max_iters=50_000)
+    assert len(handed_out) == res.iters
+    assert np.array_equal(res.x_final, handed_out[-1])
+    assert not np.shares_memory(res.x_final, handed_out[-1])
