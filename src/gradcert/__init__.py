@@ -24,10 +24,7 @@ from .oracles import (
 from .solvers import (
     SolverConfig,
     SolverTrace,
-    gradient_descent,
-    nesterov,
-    nesterov_adaptive,
-    nesterov_restart_fixed,
+    run_solver,
     theta_step,
 )
 from .certify import (

@@ -75,12 +75,20 @@ class ConstantEstimate:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Verdict of one per-iteration bound check."""
+    """Verdict of one per-iteration bound check.
+
+    ``n_checked`` counts the inequalities tested along the trace and
+    ``n_vacuous`` those skipped as vacuous (iterate inside the solution set,
+    bound below floating-point resolution), so a pass on nothing checked is
+    visible as ``n_checked == 0``.
+    """
 
     theorem_id: str
     passed: bool
     max_violation: float
     first_fail_k: int | None
+    n_checked: int
+    n_vacuous: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -89,6 +97,8 @@ class BoundReport:
                 "pass": self.passed,
                 "max_violation": self.max_violation,
                 "first_fail_k": self.first_fail_k,
+                "n_checked": self.n_checked,
+                "n_vacuous": self.n_vacuous,
             }
         )
 
@@ -292,14 +302,15 @@ def _violations(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (lhs - rhs) / np.maximum(np.abs(rhs), _TINY)
 
 
-def _report(theorem_id: str, viol: np.ndarray, ks: np.ndarray) -> BoundReport:
-    if viol.size == 0:
-        return BoundReport(theorem_id, True, 0.0, None)
-    max_v = float(np.max(viol))
-    if max_v <= SLACK:
-        return BoundReport(theorem_id, True, max_v, None)
-    first = int(ks[int(np.argmax(viol > SLACK))])
-    return BoundReport(theorem_id, False, max_v, first)
+def _report(theorem_id: str, viol: np.ndarray, ks: np.ndarray, n_stated: int) -> BoundReport:
+    """Verdict on the checked violations ``viol`` at iterations ``ks``.
+
+    ``n_stated`` is the number of inequalities the theorem states along the
+    trace; those without a violation entry were skipped as vacuous.
+    """
+    max_v = float(np.max(viol)) if viol.size else 0.0
+    first = None if max_v <= SLACK else int(ks[int(np.argmax(viol > SLACK))])
+    return BoundReport(theorem_id, first is None, max_v, first, viol.size, n_stated - viol.size)
 
 
 def _need(trace: SolverTrace, oracle: Objective, *, dist=False, gap=False, iterates=False):
@@ -353,7 +364,9 @@ def check_bounds(
 
     Iterates inside the solution set (r_k below 1e-12) and bound values
     below the objective's floating-point resolution are vacuous and skipped;
-    a trace that starts at the optimum passes trivially.
+    the report counts them in ``n_vacuous`` beside the ``n_checked`` tested
+    ones. A trace that starts at the optimum passes trivially, with
+    ``n_checked == 0``; thm8_augl1 reports its fit window as ``n_checked``.
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
@@ -369,11 +382,11 @@ def check_bounds(
         gap = _gap_of(trace, oracle)
         if gap[0] <= 0 or r[0] <= 1e-12:
             # started at the optimum: nothing checkable
-            return _report(theorem_id, np.empty(0), ks)
+            return _report(theorem_id, np.empty(0), ks, ks.size)
         c = alpha * (2.0 - alpha) / (2.0 * big_r * r[0] ** 2)
         bound = 1.0 / (1.0 / gap[0] + ks * c)
         valid = bound >= gap[0] * 1e-15  # below fp resolution the bound is vacuous
-        return _report(theorem_id, _violations(gap[valid], bound[valid]), ks[valid])
+        return _report(theorem_id, _violations(gap[valid], bound[valid]), ks[valid], ks.size)
 
     if theorem_id in ("thm2_linear", "thm3_linear"):
         _need(trace, oracle, dist=True)
@@ -387,11 +400,11 @@ def check_bounds(
         rho = math.sqrt(1.0 - nu / denom)
         valid = r[:-1] >= 1e-12
         viol = _violations(r[1:][valid], rho * r[:-1][valid])
-        return _report(theorem_id, viol, ks[1:][valid])
+        return _report(theorem_id, viol, ks[1:][valid], valid.size)
 
     if theorem_id == "thm2_converse":
         nu_hat, viol, ks_used = _converse_data(trace, oracle, cfg.stepsize_h)[2:]
-        return _report(theorem_id, viol, ks_used)
+        return _report(theorem_id, viol, ks_used, len(trace) - 1)
 
     if theorem_id == "thm4_accel":
         _need(trace, oracle, dist=True, gap=True)
@@ -401,9 +414,9 @@ def check_bounds(
         gap = _gap_of(trace, oracle)
         r1 = r[1]
         if r1 <= 1e-12:
-            return _report(theorem_id, np.empty(0), ks)
+            return _report(theorem_id, np.empty(0), ks, len(trace) - 1)
         bound = 4.0 * big_r * r1**2 / (ks[1:] + 1.0) ** 2
-        return _report(theorem_id, _violations(gap[1:], bound), ks[1:])
+        return _report(theorem_id, _violations(gap[1:], bound), ks[1:], len(trace) - 1)
 
     if theorem_id == "thm6_restart":
         _need(trace, oracle, gap=True)
@@ -415,15 +428,17 @@ def check_bounds(
         boundary = boundary[boundary < len(trace)]
         epochs = epochs[: boundary.size]
         if gap[0] <= 0:
-            return _report(theorem_id, np.empty(0), boundary)
+            return _report(theorem_id, np.empty(0), boundary, boundary.size)
         bound = np.exp(-epochs.astype(float)) * gap[0]
         valid = bound >= gap[0] * 1e-15
-        return _report(theorem_id, _violations(gap[boundary][valid], bound[valid]), boundary[valid])
+        viol = _violations(gap[boundary][valid], bound[valid])
+        return _report(theorem_id, viol, boundary[valid], boundary.size)
 
     if theorem_id == "thm8_augl1":
         fit = _terminal_geometric_fit(trace)
         passed = fit.fitted_factor < 1.0 and fit.r_squared > 0.95
-        return BoundReport(theorem_id, passed, fit.fitted_factor - 1.0, None)
+        n_fit = fit.window[1] - fit.window[0] + 1
+        return BoundReport(theorem_id, passed, fit.fitted_factor - 1.0, None, n_fit, 0)
 
     if theorem_id == "lemma1_part2":
         _need(trace, oracle, dist=True, iterates=True)
@@ -434,7 +449,7 @@ def check_bounds(
         inner = np.einsum("ij,ij->i", grads, pts - prj)
         lhs = np.einsum("ij,ij->i", grads, grads) / (2.0 * big_r)
         valid = r >= 1e-12
-        return _report(theorem_id, _violations(lhs[valid], inner[valid]), ks[valid])
+        return _report(theorem_id, _violations(lhs[valid], inner[valid]), ks[valid], ks.size)
 
     if theorem_id == "lemma2_combined":
         _need(trace, oracle, dist=True, iterates=True)
@@ -446,7 +461,7 @@ def check_bounds(
         inner = np.einsum("ij,ij->i", grads, pts - prj)
         combo = np.einsum("ij,ij->i", grads, grads) / (4.0 * big_r) + 0.5 * nu * r**2
         valid = r >= 1e-12
-        return _report(theorem_id, _violations(combo[valid], inner[valid]), ks[valid])
+        return _report(theorem_id, _violations(combo[valid], inner[valid]), ks[valid], ks.size)
 
     # lemma3_growth
     _need(trace, oracle, dist=True, gap=True)
@@ -454,7 +469,7 @@ def check_bounds(
     gap = _gap_of(trace, oracle)
     valid = (r >= 1e-12) & (gap >= gap[0] * 1e-15)  # below fp resolution: vacuous
     viol = _violations(0.5 * nu * r[valid] ** 2, gap[valid])
-    return _report(theorem_id, viol, ks[valid])
+    return _report(theorem_id, viol, ks[valid], ks.size)
 
 
 def _terminal_geometric_fit(trace: SolverTrace) -> RateFit:

@@ -1,9 +1,13 @@
 """Gradient descent, Nesterov acceleration, fixed restarts, and adaptive resets.
 
-All solvers minimize, run with a constant stepsize, and return an immutable
-`SolverTrace` recording the main iterates x^(0), x^(1), ... (for the
-accelerated schemes these are the post-gradient-step points, not the
-extrapolated ones). Identical inputs give bitwise-identical traces.
+One loop, `run_solver`, runs every scheme: a gradient step at an
+extrapolated point, followed by extrapolation with a weight beta. Plain
+gradient descent is the case beta = 0; restarts and adaptive reactions only
+reset theta or zero beta. All schemes minimize, run with a constant stepsize,
+and return an immutable `SolverTrace` recording the main iterates x^(0),
+x^(1), ... (for the accelerated schemes these are the post-gradient-step
+points, not the extrapolated ones). Identical inputs give bitwise-identical
+traces.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ __all__ = [
     "theta_step",
     "SolverConfig",
     "SolverTrace",
-    "gradient_descent",
-    "nesterov",
-    "nesterov_restart_fixed",
-    "nesterov_adaptive",
     "run_solver",
     "load_trace_csv",
 ]
@@ -32,7 +32,7 @@ __all__ = [
 VARIANTS = ("gd", "nesterov", "restart_fixed", "adaptive")
 POLICIES = ("restart", "skip")
 
-_sqrt = math.sqrt  # bound locally: theta_step sits on the per-iteration hot path
+_sqrt = math.sqrt  # bound locally: used on the per-iteration hot path
 
 # per-iteration observer: (k, x, f, grad) -> None
 Callback = Callable[[int, np.ndarray, float, np.ndarray], None]
@@ -65,7 +65,8 @@ class SolverConfig:
     ``grad_tol`` stops the run once ``||grad f(x^(k))|| <= grad_tol``; the
     default 0 runs to ``max_iters`` so rate studies see full curves.
     ``restart_every`` is the epoch length K for variant "restart_fixed";
-    ``policy`` ("restart" or "skip") selects the adaptive reaction.
+    ``policy`` ("restart" or "skip") selects the adaptive reaction. Each is
+    rejected when set for any other variant, since it would be ignored.
     """
 
     stepsize_h: float
@@ -87,9 +88,13 @@ class SolverConfig:
         if self.variant == "restart_fixed":
             if self.restart_every is None or self.restart_every < 1:
                 raise ValueError("restart_fixed needs restart_every >= 1")
+        elif self.restart_every is not None:
+            raise ValueError(f"restart_every applies only to restart_fixed, not {self.variant!r}")
         if self.variant == "adaptive":
             if self.policy not in POLICIES:
                 raise ValueError(f"adaptive needs policy in {POLICIES}, got {self.policy!r}")
+        elif self.policy is not None:
+            raise ValueError(f"policy applies only to adaptive, not {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -187,32 +192,37 @@ def load_trace_csv(path) -> SolverTrace:
     )
 
 
-def _divergence_threshold(f0: float, f_star: float | None) -> float:
-    gap = f0 - f_star if f_star is not None else 0.0
-    scale = gap if gap > 0 else max(1.0, abs(f0))
-    return f0 + 1e6 * scale
+def _grad_norm(f: float, g: np.ndarray) -> float | None:
+    """``||g||`` when ``f`` and ``g`` are finite, else None.
 
-
-def _finite(f: float, g: np.ndarray) -> bool:
-    return math.isfinite(f) and bool(np.all(np.isfinite(g)))
+    Computed as ``sqrt(g.dot(g))``, which is how ``np.linalg.norm`` computes
+    it, so the bits are the same. A sum of squares is finite only when every
+    entry is, so the elementwise test runs only when it is not: a finite
+    gradient whose squared norm overflows still counts as finite.
+    """
+    gg = g.dot(g)
+    if math.isfinite(f) and (math.isfinite(gg) or bool(np.all(np.isfinite(g)))):
+        return _sqrt(gg)
+    return None
 
 
 class _TraceBuilder:
     def __init__(self, oracle: Objective, callback: Callback | None, keep_iterates: bool):
-        self.oracle = oracle
+        self.project = oracle.project
         self.callback = callback
         self.f: list[float] = []
         self.grad_norm: list[float] = []
-        self.dist: list[float] | None = [] if oracle.project is not None else None
+        self.dist: list[float] | None = [] if self.project is not None else None
         self.events: list[str] = []
         self.iterates: list[np.ndarray] | None = [] if keep_iterates else None
 
-    def push(self, x: np.ndarray, fv: float, g: np.ndarray, event: str) -> None:
+    def push(self, x: np.ndarray, fv: float, g: np.ndarray, gnorm: float, event: str) -> None:
         k = len(self.f)
         self.f.append(float(fv))
-        self.grad_norm.append(float(np.linalg.norm(g)))
+        self.grad_norm.append(gnorm)
         if self.dist is not None:
-            self.dist.append(float(np.linalg.norm(x - self.oracle.project(x))))
+            d = x - self.project(x)
+            self.dist.append(_sqrt(d.dot(d)))
         self.events.append(event)
         if self.iterates is not None:
             self.iterates.append(x.copy())
@@ -232,193 +242,6 @@ class _TraceBuilder:
         )
 
 
-def _start(oracle: Objective, x0) -> tuple[np.ndarray, float, np.ndarray]:
-    x = as_vector(x0).copy()
-    if x.shape[0] != oracle.dim:
-        raise ValueError(f"x0 has dim {x.shape[0]}, oracle expects {oracle.dim}")
-    f0, g0 = oracle.eval(x)
-    if not _finite(f0, g0):
-        raise ValueError("objective is not finite at the start point")
-    return x, f0, g0
-
-
-def gradient_descent(
-    oracle: Objective,
-    x0,
-    cfg: SolverConfig,
-    *,
-    callback: Callback | None = None,
-    keep_iterates: bool = True,
-) -> SolverTrace:
-    """Constant-stepsize descent x^(k+1) = x^(k) - h grad f(x^(k))."""
-    if cfg.variant != "gd":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'gd'")
-    x, f_x, g_x = _start(oracle, x0)
-    tb = _TraceBuilder(oracle, callback, keep_iterates)
-    tb.push(x, f_x, g_x, "none")
-    thresh = _divergence_threshold(f_x, oracle.f_star)
-    n_evals = 1  # the start point
-    status = "max_iters"
-    while True:
-        k = len(tb.f) - 1
-        if tb.grad_norm[-1] <= cfg.grad_tol:
-            status = "tol_reached"
-            break
-        if k >= cfg.max_iters:
-            status = "max_iters"
-            break
-        x = x - cfg.stepsize_h * g_x
-        f_x, g_x = oracle.eval(x)
-        n_evals += 1
-        if not _finite(f_x, g_x):
-            status = "diverged"
-            break
-        tb.push(x, f_x, g_x, "none")
-        if f_x > thresh:
-            status = "diverged"
-            break
-    return tb.freeze(status, oracle.f_star, n_evals)
-
-
-def _accelerated(
-    oracle: Objective,
-    x0,
-    cfg: SolverConfig,
-    callback: Callback | None,
-    keep_iterates: bool,
-) -> SolverTrace:
-    x, f_x, g_x = _start(oracle, x0)
-    tb = _TraceBuilder(oracle, callback, keep_iterates)
-    tb.push(x, f_x, g_x, "none")
-    thresh = _divergence_threshold(f_x, oracle.f_star)
-
-    theta = 1.0
-    y = x
-    y_eval: tuple[float, np.ndarray] | None = (f_x, g_x)
-    prev_y: np.ndarray | None = None
-    prev_gy: np.ndarray | None = None
-    n_evals = 1  # the start point
-    status = "max_iters"
-
-    while True:
-        k = len(tb.f) - 1
-        if tb.grad_norm[-1] <= cfg.grad_tol:
-            status = "tol_reached"
-            break
-        if k >= cfg.max_iters:
-            status = "max_iters"
-            break
-        if cfg.variant == "restart_fixed" and k > 0 and k % cfg.restart_every == 0:
-            # epoch boundary: restart the scheme from the current iterate
-            theta = 1.0
-            y = x
-            y_eval = (f_x, g_x)
-            tb.events[-1] = "restart"
-        if y_eval is None:
-            fy, gy = oracle.eval(y)
-            n_evals += 1
-            if not _finite(fy, gy):
-                status = "diverged"
-                break
-            y_eval = (fy, gy)
-        _, g_y = y_eval
-
-        fired = False
-        if cfg.variant == "adaptive" and prev_gy is not None:
-            # momentum pointing uphill (minimization form of the gradient scheme)
-            fired = float(prev_gy @ (y - prev_y)) > 0.0
-
-        x_next = y - cfg.stepsize_h * g_y
-        event = "none"
-        if fired:
-            if cfg.policy == "restart":
-                theta = 1.0
-            theta_next, _ = theta_step(theta)
-            beta_next = 0.0
-            event = cfg.policy
-        else:
-            theta_next, beta_next = theta_step(theta)
-
-        prev_y = y
-        prev_gy = g_y
-        y = x_next + beta_next * (x_next - x)
-        theta = theta_next
-
-        f_x, g_x = oracle.eval(x_next)
-        n_evals += 1
-        if not _finite(f_x, g_x):
-            status = "diverged"
-            break
-        tb.push(x_next, f_x, g_x, event)
-        x = x_next
-        y_eval = (f_x, g_x) if beta_next == 0.0 else None
-        if f_x > thresh:
-            status = "diverged"
-            break
-    return tb.freeze(status, oracle.f_star, n_evals)
-
-
-def nesterov(
-    oracle: Objective,
-    x0,
-    cfg: SolverConfig,
-    *,
-    callback: Callback | None = None,
-    keep_iterates: bool = True,
-) -> SolverTrace:
-    """Accelerated gradient method with the dampened extrapolation sequence.
-
-    Starting from y^(0) = x0 and theta_0 = 1, each iteration takes a gradient
-    step at the extrapolated point, then extrapolates with weight beta_{k+1}:
-
-        x^(k+1) = y^(k) - h grad f(y^(k))
-        y^(k+1) = x^(k+1) + beta_{k+1} (x^(k+1) - x^(k))
-    """
-    if cfg.variant != "nesterov":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'nesterov'")
-    return _accelerated(oracle, x0, cfg, callback, keep_iterates)
-
-
-def nesterov_restart_fixed(
-    oracle: Objective,
-    x0,
-    cfg: SolverConfig,
-    *,
-    callback: Callback | None = None,
-    keep_iterates: bool = True,
-) -> SolverTrace:
-    """Accelerated method restarted every ``cfg.restart_every`` iterations.
-
-    At each epoch boundary the scheme restarts from the latest iterate
-    (theta back to 1, extrapolation anchor reset); boundary records carry
-    ``reset_event == "restart"``.
-    """
-    if cfg.variant != "restart_fixed":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'restart_fixed'")
-    return _accelerated(oracle, x0, cfg, callback, keep_iterates)
-
-
-def nesterov_adaptive(
-    oracle: Objective,
-    x0,
-    cfg: SolverConfig,
-    *,
-    callback: Callback | None = None,
-    keep_iterates: bool = True,
-) -> SolverTrace:
-    """Accelerated method with a momentum-against-gradient trigger.
-
-    The trigger fires when ``<grad f(y^(k-1)), y^(k) - y^(k-1)> > 0`` (the
-    gradient already computed at the previous extrapolated point is reused,
-    so triggering costs no extra oracle calls). Reaction per ``cfg.policy``:
-    "restart" resets theta to 1 and zeroes the next extrapolation weight;
-    "skip" only zeroes the weight, leaving theta untouched.
-    """
-    if cfg.variant != "adaptive":
-        raise ValueError(f"config variant is {cfg.variant!r}, expected 'adaptive'")
-    return _accelerated(oracle, x0, cfg, callback, keep_iterates)
-
-
 def run_solver(
     oracle: Objective,
     x0,
@@ -427,11 +250,100 @@ def run_solver(
     callback: Callback | None = None,
     keep_iterates: bool = True,
 ) -> SolverTrace:
-    """Dispatch on ``cfg.variant``."""
-    fn = {
-        "gd": gradient_descent,
-        "nesterov": nesterov,
-        "restart_fixed": nesterov_restart_fixed,
-        "adaptive": nesterov_adaptive,
-    }[cfg.variant]
-    return fn(oracle, x0, cfg, callback=callback, keep_iterates=keep_iterates)
+    """Run the scheme ``cfg.variant`` from ``x0`` and record its trace.
+
+    Every variant takes a gradient step at an extrapolated point and then
+    extrapolates with weight beta_{k+1}. Starting from y^(0) = x0, theta_0 = 1:
+
+        x^(k+1) = y^(k) - h grad f(y^(k))
+        y^(k+1) = x^(k+1) + beta_{k+1} (x^(k+1) - x^(k))
+
+    - "gd": beta = 0 throughout, i.e. x^(k+1) = x^(k) - h grad f(x^(k)).
+    - "nesterov": (theta_{k+1}, beta_{k+1}) from `theta_step`.
+    - "restart_fixed": nesterov restarted every ``cfg.restart_every``
+      iterations from the latest iterate (theta back to 1, extrapolation
+      anchor reset); boundary records carry ``reset_event == "restart"``.
+    - "adaptive": nesterov with a momentum-against-gradient trigger that
+      fires when ``<grad f(y^(k-1)), y^(k) - y^(k-1)> > 0`` (the gradient
+      already computed at the previous extrapolated point is reused, so
+      triggering costs no extra oracle calls). Reaction per ``cfg.policy``:
+      "restart" resets theta to 1 and zeroes the next extrapolation weight;
+      "skip" only zeroes the weight, leaving theta untouched.
+
+    Whenever beta is 0, y^(k+1) is x^(k+1) itself and its gradient is reused,
+    so gd makes one oracle call per iteration.
+    """
+    x = as_vector(x0).copy()
+    if x.shape[0] != oracle.dim:
+        raise ValueError(f"x0 has dim {x.shape[0]}, oracle expects {oracle.dim}")
+    evaluate = oracle.eval
+    f_x, g_x = evaluate(x)
+    gnorm = _grad_norm(f_x, g_x)
+    if gnorm is None:
+        raise ValueError("objective is not finite at the start point")
+    tb = _TraceBuilder(oracle, callback, keep_iterates)
+    push = tb.push
+    push(x, f_x, g_x, gnorm, "none")
+    f_star = oracle.f_star
+    gap0 = f_x - f_star if f_star is not None else 0.0
+    thresh = f_x + 1e6 * (gap0 if gap0 > 0 else max(1.0, abs(f_x)))
+
+    h, grad_tol, max_iters = cfg.stepsize_h, cfg.grad_tol, cfg.max_iters
+    gd = cfg.variant == "gd"
+    adaptive = cfg.variant == "adaptive"
+    restart_every = cfg.restart_every if cfg.variant == "restart_fixed" else 0
+    theta = 1.0
+    y, g_y = x, g_x  # g_y is None while y awaits its oracle call
+    prev_y = prev_gy = None
+    n_evals = 1  # the start point
+    k = 0
+    status = "max_iters"
+    while True:
+        if gnorm <= grad_tol:
+            status = "tol_reached"
+            break
+        if k >= max_iters:
+            break
+        if restart_every and k > 0 and k % restart_every == 0:
+            # epoch boundary: restart the scheme from the current iterate
+            theta = 1.0
+            y, g_y = x, g_x
+            tb.events[-1] = "restart"
+        if g_y is None:
+            f_y, g_y = evaluate(y)
+            n_evals += 1
+            if _grad_norm(f_y, g_y) is None:
+                status = "diverged"
+                break
+
+        x_next = y - h * g_y
+        event = "none"
+        beta = 0.0
+        if not gd:
+            # momentum pointing uphill (minimization form of the gradient scheme)
+            if adaptive and prev_gy is not None and float(prev_gy @ (y - prev_y)) > 0.0:
+                if cfg.policy == "restart":
+                    theta = 1.0
+                theta, _ = theta_step(theta)
+                event = cfg.policy
+            else:
+                theta, beta = theta_step(theta)
+            prev_y, prev_gy = y, g_y
+
+        f_x, g_x = evaluate(x_next)
+        n_evals += 1
+        gnorm = _grad_norm(f_x, g_x)
+        if gnorm is None:
+            status = "diverged"
+            break
+        push(x_next, f_x, g_x, gnorm, event)
+        if beta == 0.0:
+            y, g_y = x_next, g_x
+        else:
+            y, g_y = x_next + beta * (x_next - x), None
+        x = x_next
+        k += 1
+        if f_x > thresh:
+            status = "diverged"
+            break
+    return tb.freeze(status, f_star, n_evals)

@@ -26,9 +26,7 @@ from gradcert.oracles import (
 )
 from gradcert.solvers import (
     SolverConfig,
-    gradient_descent,
-    nesterov,
-    nesterov_restart_fixed,
+    run_solver,
     theta_step,
 )
 from gradcert.sparse_recovery import gen_sparse_problem, recover
@@ -73,7 +71,7 @@ def test_c02_theorem2_linear_rate(quads):
         seed_t0 = time.perf_counter()
         nu, big_r = oracle.constants.nu, oracle.constants.R
         cfg = SolverConfig(stepsize_h=1.0 / (2.0 * big_r), max_iters=4000, variant="gd")
-        tr = gradient_descent(oracle, np.zeros(50), cfg)
+        tr = run_solver(oracle, np.zeros(50), cfg)
         r = tr.dist_to_sol
         below = np.nonzero(r < 1e-12)[0]
         assert below.size, "run never reached the 1e-12 solution-error floor"
@@ -94,7 +92,7 @@ def test_c03_theorem3_linear_rate(quads):
     for oracle in quads:
         nu, lip = oracle.constants.nu, oracle.constants.L
         cfg = SolverConfig(stepsize_h=1.0 / lip, max_iters=2500, variant="gd")
-        tr = gradient_descent(oracle, np.zeros(50), cfg)
+        tr = run_solver(oracle, np.zeros(50), cfg)
         r = tr.dist_to_sol
         keep = r[:-1] >= 1e-12
         rho = math.sqrt(1.0 - nu / lip)
@@ -111,7 +109,7 @@ def test_c04_theorem1_sublinear(quads):
     for oracle in quads[:1]:
         big_r = oracle.constants.R
         cfg = SolverConfig(stepsize_h=1.0 / big_r, max_iters=10_000, variant="gd")
-        tr = gradient_descent(oracle, 100.0 * np.ones(50), cfg)
+        tr = run_solver(oracle, 100.0 * np.ones(50), cfg)
         gap = tr.gap
         r0 = tr.dist_to_sol[0]
         ks = tr.k
@@ -130,7 +128,7 @@ def test_c05_theorem4_accelerated(quads):
     for oracle in quads:
         big_r = oracle.constants.R
         cfg = SolverConfig(stepsize_h=1.0 / big_r, max_iters=5000, variant="nesterov")
-        tr = nesterov(oracle, np.zeros(50), cfg)
+        tr = run_solver(oracle, np.zeros(50), cfg)
         gap = tr.gap
         r1 = tr.dist_to_sol[1]
         ks = tr.k[1:]
@@ -153,7 +151,7 @@ def test_c06_theorem6_restart(quads):
             variant="restart_fixed",
             restart_every=k_len,
         )
-        tr = nesterov_restart_fixed(oracle, np.zeros(50), cfg)
+        tr = run_solver(oracle, np.zeros(50), cfg)
         gap = tr.gap
         for j in range(21):
             k = j * k_len
@@ -210,7 +208,7 @@ def test_c09_converse_necessity():
     )
     h = 1.0 / (2.0 * sq.constants.R)
     cfg = SolverConfig(stepsize_h=h, max_iters=250, variant="gd")
-    tr = gradient_descent(sq, np.ones(12), cfg)
+    tr = run_solver(sq, np.ones(12), cfg)
     est = converse_secant(tr, sq, h)  # raises if the secant inequality fails
     assert est.value > 0
     report = check_bounds(tr, sq, "thm2_converse", cfg)

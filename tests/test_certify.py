@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from gradcert.certify import (
 )
 from gradcert.numkit import GaussianStream
 from gradcert.oracles import make_example_1d, make_quadratic_composite
-from gradcert.solvers import SolverConfig, SolverTrace, gradient_descent, nesterov
+from gradcert.solvers import SolverConfig, SolverTrace, run_solver
 from conftest import seeded_quad
 
 SQRT2 = math.sqrt(2.0)
@@ -141,7 +142,7 @@ def test_rlg_witness_reproduces_value():
 def test_converse_hand_case():
     unit = make_quadratic_composite(np.array([[1.0]]), np.array([0.0]))
     cfg = SolverConfig(stepsize_h=0.5, max_iters=30, variant="gd")
-    tr = gradient_descent(unit, np.array([4.0]), cfg)
+    tr = run_solver(unit, np.array([4.0]), cfg)
     est = converse_secant(tr, unit, 0.5)
     # ratios are exactly 1/2, so delta = 3/4 and nu = delta / (2 * 0.5)
     assert est.value == pytest.approx(0.75, rel=1e-12)
@@ -151,7 +152,7 @@ def test_converse_hand_case():
 def test_converse_on_square_composite():
     sq = make_quadratic_composite(GaussianStream(5).normal((12, 12)), GaussianStream(6).normal(12))
     cfg = SolverConfig(stepsize_h=1.0 / (2.0 * sq.constants.R), max_iters=200, variant="gd")
-    tr = gradient_descent(sq, np.ones(12), cfg)
+    tr = run_solver(sq, np.ones(12), cfg)
     est = converse_secant(tr, sq, cfg.stepsize_h)
     assert est.value > 0
     report = check_bounds(tr, sq, "thm2_converse", cfg)
@@ -161,7 +162,7 @@ def test_converse_on_square_composite():
 def test_converse_never_beats_direct_sampling():
     sq = make_quadratic_composite(GaussianStream(15).normal((8, 8)), GaussianStream(16).normal(8))
     cfg = SolverConfig(stepsize_h=1.0 / (2.0 * sq.constants.R), max_iters=300, variant="gd")
-    tr = gradient_descent(sq, np.ones(8), cfg)
+    tr = run_solver(sq, np.ones(8), cfg)
     nu_conv = converse_secant(tr, sq, cfg.stepsize_h).value
     box = (-2.0 * np.ones(8), 2.0 * np.ones(8))
     nu_direct = estimate_rsi(sq, box, 2000, seed=9).value
@@ -171,7 +172,7 @@ def test_converse_never_beats_direct_sampling():
 def test_converse_rejects_degenerate_trace():
     unit = make_quadratic_composite(np.array([[1.0]]), np.array([0.0]))
     cfg = SolverConfig(stepsize_h=0.5, max_iters=10, variant="gd")
-    tr = gradient_descent(unit, np.array([0.0]), cfg)  # starts at the optimum
+    tr = run_solver(unit, np.array([0.0]), cfg)  # starts at the optimum
     with pytest.raises(ValueError):
         converse_secant(tr, unit, 0.5)
 
@@ -183,7 +184,7 @@ def test_converse_rejects_degenerate_trace():
 def run_gd(oracle, h, iters, x0=None):
     cfg = SolverConfig(stepsize_h=h, max_iters=iters, variant="gd")
     x0 = np.zeros(oracle.dim) if x0 is None else x0
-    return gradient_descent(oracle, x0, cfg), cfg
+    return run_solver(oracle, x0, cfg), cfg
 
 
 def test_thm2_passes_on_conforming_run(quad_20x50):
@@ -206,7 +207,7 @@ def test_thm1_passes_and_uses_proof_constant(quad_20x50):
 
 def test_thm4_passes_on_nesterov(quad_20x50):
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=800, variant="nesterov")
-    tr = nesterov(quad_20x50, np.zeros(50), cfg)
+    tr = run_solver(quad_20x50, np.zeros(50), cfg)
     assert check_bounds(tr, quad_20x50, "thm4_accel", cfg).passed
 
 
@@ -240,7 +241,10 @@ def test_check_bounds_trivial_at_optimum(quad_20x50):
     x_star = quad_20x50.project(np.zeros(50))
     tr, cfg = run_gd(quad_20x50, 1.0 / (2.0 * quad_20x50.constants.R), 10, x0=x_star)
     for tid in ("thm1_sublinear", "thm2_linear", "lemma3_growth"):
-        assert check_bounds(tr, quad_20x50, tid, cfg).passed, tid
+        report = check_bounds(tr, quad_20x50, tid, cfg)
+        assert report.passed, tid
+        assert report.n_checked == 0, tid
+        assert report.n_vacuous > 0, tid
 
 
 def test_lemma3_skips_gaps_below_resolution():
@@ -260,13 +264,31 @@ def test_lemma3_skips_gaps_below_resolution():
     assert report.max_violation == pytest.approx(0.01, rel=1e-9)
 
 
+def test_bound_report_counts_checked_and_vacuous():
+    unit = make_quadratic_composite(np.array([[1.0]]), np.array([0.0]))
+    cfg = SolverConfig(stepsize_h=0.5, max_iters=5, variant="gd")
+    dist = np.array([1.0, 0.5, 0.25, 1e-13, 1e-14, 0.0])
+    gap = 0.5 * dist**2
+    # thm2 pairs (r_k, r_k+1) with r_k < 1e-12 are vacuous: k = 3, 4
+    report = check_bounds(make_trace(gap, dist=dist), unit, "thm2_linear", cfg)
+    assert (report.n_checked, report.n_vacuous) == (3, 2)
+    # lemma3 records with r_k < 1e-12 or gap_k below resolution: k = 3, 4, 5
+    report = check_bounds(make_trace(gap, dist=dist), unit, "lemma3_growth", cfg)
+    assert (report.n_checked, report.n_vacuous) == (3, 3)
+    # thm8 fits f - min f over the terminal half of its positive prefix,
+    # here k = 19..38, and skips nothing
+    report = check_bounds(make_trace(0.5 ** np.arange(40), f_star=None), unit, "thm8_augl1", cfg)
+    assert report.passed
+    assert (report.n_checked, report.n_vacuous) == (20, 0)
+
+
 def test_check_bounds_rejects_missing_capability():
     from gradcert.oracles import make_augl1_dual
 
     a = GaussianStream(2).normal((3, 7))
     dual = make_augl1_dual(a, a @ np.ones(7), 1.0)
     cfg = SolverConfig(stepsize_h=1.0 / dual.constants.L, max_iters=20, variant="gd")
-    tr = gradient_descent(dual, np.zeros(3), cfg)
+    tr = run_solver(dual, np.zeros(3), cfg)
     with pytest.raises(ValueError, match="dist_to_sol"):
         check_bounds(tr, dual, "thm2_linear", cfg)
     with pytest.raises(ValueError, match="unknown theorem id"):
@@ -274,8 +296,6 @@ def test_check_bounds_rejects_missing_capability():
 
 
 def test_thm6_restart_check(quad_20x50):
-    from gradcert.solvers import nesterov_restart_fixed
-
     nu, big_r = quad_20x50.constants.nu, quad_20x50.constants.R
     k_len = math.ceil(math.sqrt(8.0 * math.e * big_r / nu))
     cfg = SolverConfig(
@@ -284,14 +304,22 @@ def test_thm6_restart_check(quad_20x50):
         variant="restart_fixed",
         restart_every=k_len,
     )
-    tr = nesterov_restart_fixed(quad_20x50, np.zeros(50), cfg)
+    tr = run_solver(quad_20x50, np.zeros(50), cfg)
     assert check_bounds(tr, quad_20x50, "thm6_restart", cfg).passed
 
 
 def test_report_json_fields():
-    report = BoundReport("thm2_linear", True, -0.5, None)
+    report = BoundReport("thm2_linear", True, -0.5, None, 7, 2)
     payload = report.to_json()
     assert '"pass": true' in payload and '"theorem_id": "thm2_linear"' in payload
+    assert json.loads(payload) == {
+        "theorem_id": "thm2_linear",
+        "pass": True,
+        "max_violation": -0.5,
+        "first_fail_k": None,
+        "n_checked": 7,
+        "n_vacuous": 2,
+    }
 
 
 # ---------------------------------------------------------------------------

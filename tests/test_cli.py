@@ -47,6 +47,21 @@ def test_resolve_stepsize_rules():
         resolve_stepsize(oracle_from_id("f1"), "gd", "auto")
 
 
+@pytest.mark.parametrize(
+    "variant, extra, field",
+    [
+        ("gd", ["--restart-every", "3", "--policy", "skip"], "restart_every"),
+        ("nesterov", ["--policy", "restart"], "policy"),
+    ],
+)
+def test_solve_rejects_options_the_variant_ignores(tmp_path, capsys, variant, extra, field):
+    code = run_cli("solve", "--oracle", "quad:m=20,n=50,seed=1", "--variant", variant,
+                   "--h", "auto", "--max-iters", "10", *extra, "--out", str(tmp_path))
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_solve_writes_artifacts_and_reproduces(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["solve", "--oracle", "quad:m=10,n=25,seed=7", "--variant", "gd",

@@ -1,18 +1,25 @@
-"""Property tests of the least-squares composite and of the augmented-l1 dual.
+"""Property tests of the oracles, the solver loop and the bound checks.
 
 For f(x) = 0.5 ||Ax - b||^2 with m < n the constants are L = R = ||A||^2
 and nu = lambda_min(A A^T); the secant inequality and Lemma 3's growth
 bound must hold with that nu at every point. The dual oracle's ``primal``
 must return ``alpha * shrink_1(A^T y)`` bit for bit, whatever point its
-memo holds.
+memo holds. Gradient descent is the solver loop with beta = 0 and must
+match a plain ``x - h grad f(x)`` loop bit for bit; the dampening sequence
+must satisfy its recursion; and ``check_bounds`` must place an injected
+violation at the right iteration.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcert.certify import check_bounds
 from gradcert.numkit import GaussianStream
 from gradcert.oracles import make_quadratic_composite, shrink
+from gradcert.solvers import SolverConfig, SolverTrace, run_solver, theta_step
 from gradcert.sparse_recovery import gen_sparse_problem
 
 SLACK = 1e-9
@@ -97,3 +104,73 @@ def test_dual_primal_is_bitwise_shrink(case):
     dual.eval(y)
     y += z
     assert np.array_equal(dual.primal(y), _primal_ref(problem, y))
+
+
+@st.composite
+def gd_runs(draw):
+    """(quad, x0, h, iters): a seeded m x n quad with m < n <= 50, m <= 20."""
+    n = draw(st.integers(2, 50))
+    m = draw(st.integers(1, min(20, n - 1)))
+    stream = GaussianStream(draw(st.integers(0, 2**32 - 1)))
+    a = stream.normal((m, n))
+    quad = make_quadratic_composite(a, stream.normal(m))
+    x0 = draw(st.sampled_from([1e-3, 1.0, 1e3])) * stream.normal(n)
+    h = draw(st.sampled_from([0.5, 1.0])) / quad.constants.L
+    return quad, x0, h, draw(st.integers(1, 40))
+
+
+@PROPERTY
+@given(gd_runs())
+def test_gd_is_bitwise_the_plain_gradient_loop(case):
+    quad, x0, h, iters = case
+    tr = run_solver(quad, x0, SolverConfig(stepsize_h=h, max_iters=iters))
+    f, grad_norm, dist, xs = [], [], [], []
+    x = x0.copy()
+    for k in range(iters + 1):
+        fx, g = quad.eval(x)
+        f.append(float(fx))
+        grad_norm.append(float(np.linalg.norm(g)))
+        dist.append(float(np.linalg.norm(x - quad.project(x))))
+        xs.append(x)
+        if grad_norm[-1] == 0.0:
+            break
+        x = x - h * g
+    assert np.array_equal(tr.f, f)
+    assert np.array_equal(tr.grad_norm, grad_norm)
+    assert np.array_equal(tr.dist_to_sol, dist)
+    assert len(tr.iterates) == len(xs)
+    assert all(np.array_equal(a, b) for a, b in zip(tr.iterates, xs))
+    assert tr.n_evals == len(tr)
+
+
+@PROPERTY
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_theta_recursion_identity(theta):
+    # theta_{k+1}^2 = (1 - theta_{k+1}) theta_k^2, evaluated exactly on the
+    # returned floats, so only theta_step's own rounding counts
+    t_next, _ = theta_step(theta)
+    t, th = Fraction(t_next), Fraction(theta)
+    assert abs(t * t - (1 - t) * th * th) <= Fraction(1e-15) * th * th
+
+
+@PROPERTY
+@given(st.data())
+def test_check_bounds_finds_injected_violation(data):
+    # unit quad: nu = R = 1, so thm2 bounds r_{k+1} <= sqrt(1/2) r_k
+    unit = make_quadratic_composite(np.array([[1.0]]), np.array([0.0]))
+    n = data.draw(st.integers(2, 40))
+    ratios = np.array(data.draw(st.lists(st.floats(0.01, 0.7), min_size=n - 1, max_size=n - 1)))
+    r0 = data.draw(st.floats(1e-3, 1e3))
+    checkable = np.flatnonzero(r0 * np.cumprod(np.r_[1.0, ratios[:-1]]) >= 1e-12) + 1
+    k = data.draw(st.sampled_from(checkable.tolist()))
+    ratios[k - 1] = data.draw(st.floats(0.75, 1.5))
+    r = r0 * np.cumprod(np.r_[1.0, ratios])
+    trace = SolverTrace(
+        f=0.5 * r**2, grad_norm=r, dist_to_sol=r, reset_event=("none",) * n,
+        status="max_iters", f_star=0.0,
+    )
+    report = check_bounds(trace, unit, "thm2_linear", SolverConfig(0.5, n - 1))
+    assert not report.passed
+    assert report.first_fail_k == k
+    assert report.n_checked == np.count_nonzero(r[:-1] >= 1e-12)
+    assert report.n_checked + report.n_vacuous == n - 1

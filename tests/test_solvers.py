@@ -6,14 +6,10 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from gradcert.oracles import make_example_1d, make_quadratic_composite
+from gradcert.oracles import Objective, make_example_1d, make_quadratic_composite
 from gradcert.solvers import (
     SolverConfig,
-    gradient_descent,
     load_trace_csv,
-    nesterov,
-    nesterov_adaptive,
-    nesterov_restart_fixed,
     run_solver,
     theta_step,
 )
@@ -74,7 +70,7 @@ def test_theta_beta_consistent_with_direct_formula():
 
 def test_gd_unit_quad_one_exact_step():
     cfg = SolverConfig(stepsize_h=1.0, max_iters=100, variant="gd")
-    tr = gradient_descent(unit_quad(), np.array([5.0]), cfg)
+    tr = run_solver(unit_quad(), np.array([5.0]), cfg)
     assert len(tr) == 2 and tr.status == "tol_reached"
     assert tr.f[1] == 0.0 and tr.grad_norm[1] == 0.0
 
@@ -82,7 +78,7 @@ def test_gd_unit_quad_one_exact_step():
 def test_gd_f3_hand_sequence():
     f3 = make_example_1d("f3", beta=1.0)
     cfg = SolverConfig(stepsize_h=0.5, max_iters=6, variant="gd")
-    tr = gradient_descent(f3, np.array([3.0]), cfg)
+    tr = run_solver(f3, np.array([3.0]), cfg)
     xs = [float(x[0]) for x in tr.iterates]
     assert xs[:4] == [3.0, 2.0, 1.5, 1.25]
     r = tr.dist_to_sol
@@ -94,7 +90,7 @@ def test_gd_f3_hand_sequence():
 def test_gd_linear_contraction_seeded(quad_20x50):
     nu, big_r = quad_20x50.constants.nu, quad_20x50.constants.R
     cfg = SolverConfig(stepsize_h=1.0 / (2.0 * big_r), max_iters=400, variant="gd")
-    tr = gradient_descent(quad_20x50, np.zeros(50), cfg)
+    tr = run_solver(quad_20x50, np.zeros(50), cfg)
     r = tr.dist_to_sol
     keep = r[:-1] >= 1e-12
     rho = math.sqrt(1.0 - nu / (2.0 * big_r))
@@ -103,13 +99,13 @@ def test_gd_linear_contraction_seeded(quad_20x50):
 
 def test_gd_monotone_descent(quad_20x50):
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=300, variant="gd")
-    tr = gradient_descent(quad_20x50, 10 * np.ones(50), cfg)
+    tr = run_solver(quad_20x50, 10 * np.ones(50), cfg)
     assert np.all(np.diff(tr.f) <= 1e-12 * np.maximum(1.0, tr.f[:-1]))
 
 
 def test_gd_distance_nonincreasing(quad_20x50):
     cfg = SolverConfig(stepsize_h=0.7 / quad_20x50.constants.R, max_iters=500, variant="gd")
-    tr = gradient_descent(quad_20x50, 10 * np.ones(50), cfg)
+    tr = run_solver(quad_20x50, 10 * np.ones(50), cfg)
     r = tr.dist_to_sol
     # exact monotonicity until the projection roundoff floor; the slack
     # covers only that floor
@@ -118,15 +114,15 @@ def test_gd_distance_nonincreasing(quad_20x50):
 
 def test_gd_deterministic_bitwise(quad_20x50):
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=50, variant="gd")
-    t1 = gradient_descent(quad_20x50, np.ones(50), cfg)
-    t2 = gradient_descent(quad_20x50, np.ones(50), cfg)
+    t1 = run_solver(quad_20x50, np.ones(50), cfg)
+    t2 = run_solver(quad_20x50, np.ones(50), cfg)
     assert np.array_equal(t1.f, t2.f)
     assert all(np.array_equal(a, b) for a, b in zip(t1.iterates, t2.iterates))
 
 
 def test_gd_divergence_guard(quad_20x50):
     cfg = SolverConfig(stepsize_h=1000.0 / quad_20x50.constants.R, max_iters=5000, variant="gd")
-    tr = gradient_descent(quad_20x50, np.ones(50), cfg)
+    tr = run_solver(quad_20x50, np.ones(50), cfg)
     assert tr.status == "diverged"
     assert np.all(np.isfinite(tr.f))
     assert len(tr) < 5001
@@ -136,16 +132,10 @@ def test_grad_tol_stopping(quad_20x50):
     cfg = SolverConfig(
         stepsize_h=1.0 / quad_20x50.constants.R, max_iters=10_000, grad_tol=1e-6, variant="gd"
     )
-    tr = gradient_descent(quad_20x50, np.ones(50), cfg)
+    tr = run_solver(quad_20x50, np.ones(50), cfg)
     assert tr.status == "tol_reached"
     assert tr.grad_norm[-1] <= 1e-6
     assert np.all(tr.grad_norm[:-1] > 1e-6)
-
-
-def test_variant_mismatch_rejected(quad_20x50):
-    cfg = SolverConfig(stepsize_h=0.1, max_iters=5, variant="nesterov")
-    with pytest.raises(ValueError):
-        gradient_descent(quad_20x50, np.zeros(50), cfg)
 
 
 def test_config_validation():
@@ -157,6 +147,21 @@ def test_config_validation():
         SolverConfig(stepsize_h=1.0, max_iters=5, variant="restart_fixed")
     with pytest.raises(ValueError):
         SolverConfig(stepsize_h=1.0, max_iters=5, variant="adaptive", policy="bogus")
+    # a field the variant would ignore is rejected by name
+    for variant, extra in (
+        ("gd", {"restart_every": 3}),
+        ("nesterov", {"restart_every": 3}),
+        ("adaptive", {"policy": "skip", "restart_every": 3}),
+    ):
+        with pytest.raises(ValueError, match="restart_every"):
+            SolverConfig(stepsize_h=1.0, max_iters=5, variant=variant, **extra)
+    for variant, extra in (
+        ("gd", {"policy": "skip"}),
+        ("nesterov", {"policy": "restart"}),
+        ("restart_fixed", {"restart_every": 3, "policy": "skip"}),
+    ):
+        with pytest.raises(ValueError, match="policy"):
+            SolverConfig(stepsize_h=1.0, max_iters=5, variant=variant, **extra)
 
 
 def _reference_nesterov(grad, x0, h, n):
@@ -180,7 +185,7 @@ def test_nesterov_first_iteration_is_gradient_step(quad_20x50):
     h = 1.0 / quad_20x50.constants.R
     cfg = SolverConfig(stepsize_h=h, max_iters=1, variant="nesterov")
     x0 = np.ones(50)
-    tr = nesterov(quad_20x50, x0, cfg)
+    tr = run_solver(quad_20x50, x0, cfg)
     _, g0 = quad_20x50.eval(x0)
     assert np.array_equal(tr.iterates[1], x0 - h * g0)
 
@@ -191,7 +196,7 @@ def test_nesterov_matches_reference_transcript():
     h = 1.0 / quad.constants.R
     x0 = np.array([5.0, 1.0])
     cfg = SolverConfig(stepsize_h=h, max_iters=40, variant="nesterov")
-    tr = nesterov(quad, x0, cfg)
+    tr = run_solver(quad, x0, cfg)
     ref = _reference_nesterov(lambda v: a.T @ (a @ v), x0, h, 40)
     for got, want in zip(tr.iterates, ref):
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
@@ -199,7 +204,7 @@ def test_nesterov_matches_reference_transcript():
 
 def test_nesterov_unit_quad_converges():
     cfg = SolverConfig(stepsize_h=1.0, max_iters=50, variant="nesterov")
-    tr = nesterov(unit_quad(), np.array([5.0]), cfg)
+    tr = run_solver(unit_quad(), np.array([5.0]), cfg)
     assert tr.status == "tol_reached"
     assert tr.f[-1] <= 1e-20
 
@@ -208,8 +213,8 @@ def test_restart_full_interval_equals_plain(quad_20x50):
     h = 1.0 / quad_20x50.constants.R
     cfg_n = SolverConfig(stepsize_h=h, max_iters=120, variant="nesterov")
     cfg_r = SolverConfig(stepsize_h=h, max_iters=120, variant="restart_fixed", restart_every=120)
-    tn = nesterov(quad_20x50, np.zeros(50), cfg_n)
-    tr = nesterov_restart_fixed(quad_20x50, np.zeros(50), cfg_r)
+    tn = run_solver(quad_20x50, np.zeros(50), cfg_n)
+    tr = run_solver(quad_20x50, np.zeros(50), cfg_r)
     assert np.array_equal(tn.f, tr.f)
     assert all(np.array_equal(a, b) for a, b in zip(tn.iterates, tr.iterates))
     assert all(e == "none" for e in tr.reset_event)
@@ -219,8 +224,8 @@ def test_restart_every_step_equals_gd(quad_20x50):
     h = 1.0 / (2.0 * quad_20x50.constants.R)
     cfg_1 = SolverConfig(stepsize_h=h, max_iters=60, variant="restart_fixed", restart_every=1)
     cfg_g = SolverConfig(stepsize_h=h, max_iters=60, variant="gd")
-    t1 = nesterov_restart_fixed(quad_20x50, np.ones(50), cfg_1)
-    tg = gradient_descent(quad_20x50, np.ones(50), cfg_g)
+    t1 = run_solver(quad_20x50, np.ones(50), cfg_1)
+    tg = run_solver(quad_20x50, np.ones(50), cfg_g)
     for a, b in zip(t1.iterates, tg.iterates):
         assert np.allclose(a, b, rtol=0, atol=1e-13)
 
@@ -228,7 +233,7 @@ def test_restart_every_step_equals_gd(quad_20x50):
 def test_restart_marks_epoch_boundaries(quad_20x50):
     h = 1.0 / quad_20x50.constants.R
     cfg = SolverConfig(stepsize_h=h, max_iters=50, variant="restart_fixed", restart_every=10)
-    tr = nesterov_restart_fixed(quad_20x50, np.ones(50), cfg)
+    tr = run_solver(quad_20x50, np.ones(50), cfg)
     marked = [i for i, e in enumerate(tr.reset_event) if e == "restart"]
     assert marked == [10, 20, 30, 40]
 
@@ -242,7 +247,7 @@ def test_restart_epoch_decay(quad_20x50):
         variant="restart_fixed",
         restart_every=k_len,
     )
-    tr = nesterov_restart_fixed(quad_20x50, np.zeros(50), cfg)
+    tr = run_solver(quad_20x50, np.zeros(50), cfg)
     gap = tr.gap
     for j in range(1, 1 + len(tr) // k_len if len(tr) > k_len else 1):
         k = j * k_len
@@ -284,7 +289,7 @@ def test_adaptive_matches_reference_transcript(policy):
     h = 1.0 / quad.constants.R
     x0 = np.array([5.0, 1.0])
     cfg = SolverConfig(stepsize_h=h, max_iters=60, variant="adaptive", policy=policy)
-    tr = nesterov_adaptive(quad, x0, cfg)
+    tr = run_solver(quad, x0, cfg)
     ref_xs, ref_events = _reference_adaptive(lambda v: a.T @ (a @ v), x0, h, 60, policy)
     assert list(tr.reset_event) == ref_events[: len(tr)]
     assert any(e == policy for e in tr.reset_event)  # triggers actually fire
@@ -301,8 +306,8 @@ def test_adaptive_restart_no_slower_than_plain_on_most_seeds():
             stepsize_h=h, max_iters=20_000, grad_tol=1e-10, variant="adaptive", policy="restart"
         )
         cfg_n = SolverConfig(stepsize_h=h, max_iters=20_000, grad_tol=1e-10, variant="nesterov")
-        ta = nesterov_adaptive(oracle, np.zeros(50), cfg_a)
-        tn = nesterov(oracle, np.zeros(50), cfg_n)
+        ta = run_solver(oracle, np.zeros(50), cfg_a)
+        tn = run_solver(oracle, np.zeros(50), cfg_n)
         assert ta.status == tn.status == "tol_reached"
         wins += len(ta) <= len(tn)
     assert wins >= 4
@@ -313,8 +318,8 @@ def test_adaptive_without_triggers_equals_nesterov():
     f3 = make_example_1d("f3", beta=1.0)
     cfg_a = SolverConfig(stepsize_h=0.4, max_iters=80, variant="adaptive", policy="restart")
     cfg_n = SolverConfig(stepsize_h=0.4, max_iters=80, variant="nesterov")
-    ta = nesterov_adaptive(f3, np.array([3.0]), cfg_a)
-    tn = nesterov(f3, np.array([3.0]), cfg_n)
+    ta = run_solver(f3, np.array([3.0]), cfg_a)
+    tn = run_solver(f3, np.array([3.0]), cfg_n)
     assert all(e == "none" for e in ta.reset_event)
     assert np.array_equal(ta.f, tn.f)
 
@@ -326,7 +331,7 @@ def test_adaptive_skip_leaves_theta_untouched():
     quad = make_quadratic_composite(a, np.zeros(2))
     h = 1.0 / quad.constants.R
     cfg = SolverConfig(stepsize_h=h, max_iters=100, variant="adaptive", policy="skip")
-    tr = nesterov_adaptive(quad, np.array([3.0, 1.0]), cfg)
+    tr = run_solver(quad, np.array([3.0, 1.0]), cfg)
     ref_xs, ref_events = _reference_adaptive(
         lambda v: a.T @ (a @ v), np.array([3.0, 1.0]), h, 100, "skip"
     )
@@ -337,7 +342,7 @@ def test_adaptive_skip_leaves_theta_untouched():
 
 def test_trace_csv_roundtrip(tmp_path, quad_20x50):
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=30, variant="gd")
-    tr = gradient_descent(quad_20x50, np.ones(50), cfg)
+    tr = run_solver(quad_20x50, np.ones(50), cfg)
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
     back = load_trace_csv(path)
@@ -358,7 +363,7 @@ def test_trace_csv_header_and_blanks():
     a = GaussianStream(3).normal((3, 8))
     dual = make_augl1_dual(a, a @ np.ones(8), 2.0)
     cfg = SolverConfig(stepsize_h=1.0 / dual.constants.L, max_iters=5, variant="gd")
-    tr = gradient_descent(dual, np.zeros(3), cfg)
+    tr = run_solver(dual, np.zeros(3), cfg)
     buf = io.StringIO()
     tr.to_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -370,7 +375,7 @@ def test_trace_csv_header_and_blanks():
 def test_callback_sees_every_record(quad_20x50):
     seen = []
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=20, variant="nesterov")
-    nesterov(
+    run_solver(
         quad_20x50,
         np.ones(50),
         cfg,
@@ -382,7 +387,7 @@ def test_callback_sees_every_record(quad_20x50):
 
 def test_keep_iterates_off(quad_20x50):
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=10, variant="gd")
-    tr = gradient_descent(quad_20x50, np.ones(50), cfg, keep_iterates=False)
+    tr = run_solver(quad_20x50, np.ones(50), cfg, keep_iterates=False)
     assert tr.iterates is None
     assert len(tr) == 11
 
@@ -425,3 +430,40 @@ def test_n_evals_counts_the_diverging_call(quad_20x50):
     tr = run_solver(oracle, np.ones(50), cfg, keep_iterates=False)
     assert tr.status == "diverged"
     assert tr.n_evals == len(calls)
+
+
+@pytest.mark.parametrize("variant, n_evals", [("gd", 4), ("nesterov", 5)])
+def test_finite_gradient_with_overflowing_norm_runs_on(variant, n_evals):
+    # every entry of g is finite but ||g||^2 overflows: the point is finite,
+    # so the run goes on with an infinite recorded gradient norm
+    oracle = Objective(dim=2, eval=lambda x: (0.0, np.full(2, 1e200)))
+    cfg = SolverConfig(stepsize_h=1e-200, max_iters=3, variant=variant)
+    with np.errstate(over="ignore"):
+        tr = run_solver(oracle, np.zeros(2), cfg)
+    assert tr.status == "max_iters"
+    assert len(tr) == 4 and np.all(np.isposinf(tr.grad_norm))
+    assert tr.n_evals == n_evals
+
+
+def test_nan_gradient_at_start_rejected():
+    oracle = Objective(dim=2, eval=lambda x: (0.0, np.array([1.0, np.nan])))
+    with pytest.raises(ValueError, match="start point"):
+        run_solver(oracle, np.zeros(2), SolverConfig(stepsize_h=0.1, max_iters=5))
+
+
+# gd's third call is x^(2); nesterov's fourth is y^(2), its first extrapolated
+# point that is not an iterate (beta_1 = 0, so y^(1) = x^(1))
+@pytest.mark.parametrize("variant, bad_call", [("gd", 3), ("nesterov", 4)])
+@pytest.mark.parametrize("bad", [(0.0, np.array([1.0, np.nan])), (np.inf, np.ones(2))])
+def test_non_finite_mid_run_diverges_and_is_counted(variant, bad_call, bad):
+    calls = []
+
+    def eval_(x):
+        calls.append(1)
+        return bad if len(calls) == bad_call else (0.0, np.ones(2))
+
+    cfg = SolverConfig(stepsize_h=0.1, max_iters=10, variant=variant)
+    tr = run_solver(Objective(dim=2, eval=eval_), np.zeros(2), cfg)
+    assert tr.status == "diverged"
+    assert tr.n_evals == len(calls) == bad_call
+    assert len(tr) == bad_call - 1
