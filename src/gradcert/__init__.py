@@ -8,7 +8,6 @@ bounds, and linearized-Bregman sparse recovery.
 from .numkit import (
     GaussianStream,
     SpectralSummary,
-    spectral_norm_sq,
     sym_eig_summary,
 )
 from .oracles import (

@@ -1,10 +1,12 @@
 """Dense linear algebra, spectral estimates, and deterministic random streams.
 
 Everything here is plain float64 numpy with no hidden state: eigenvalues
-and linear solves come from LAPACK through `numpy.linalg`, the spectral
-norm of a rectangular matrix comes from power iteration, and the random
-stream is a counter-based generator (splitmix64 + Box-Muller) whose output
-depends only on (seed, position).
+(hence ``||A||^2 = lambda_max(A A^T)``) and linear solves come from LAPACK
+through `numpy.linalg`, and the random stream is a counter-based generator
+(splitmix64 + Box-Muller) whose output depends only on (seed, position).
+`gram_spectral_norm`, a power iteration, is no longer used by the package;
+it stays because the benchmark's tracer (``perfbench/tracer.py``) hooks it
+by name.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ __all__ = [
     "as_matrix",
     "PowerIterationResult",
     "gram_spectral_norm",
-    "spectral_norm_sq",
     "SpectralSummary",
     "sym_eig_summary",
     "GaussianStream",
@@ -86,11 +87,6 @@ def gram_spectral_norm(a, rel_tol: float = 1e-10, max_iters: int = 100_000) -> P
             return PowerIterationResult(lam, True, it)
         lam_prev = lam
     return PowerIterationResult(lam, False, max_iters)
-
-
-def spectral_norm_sq(a) -> float:
-    """||A||^2, i.e. lambda_max(A^T A). See `gram_spectral_norm` for details."""
-    return gram_spectral_norm(a).value
 
 
 def _check_symmetric(S: np.ndarray) -> None:

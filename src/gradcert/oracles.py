@@ -27,7 +27,6 @@ from .numkit import (
     as_matrix,
     as_vector,
     cholesky_solve,
-    spectral_norm_sq,
     sym_eig_summary,
 )
 
@@ -70,6 +69,10 @@ class KnownConstants:
             raise ValueError(f"nu={self.nu} exceeds L={self.L}")
 
 
+def _extrapolate(x_next: np.ndarray, x: np.ndarray, beta: float) -> np.ndarray:
+    return x_next + beta * (x_next - x)
+
+
 @dataclass(frozen=True)
 class Objective:
     """Differentiable objective with optional solution-set projection.
@@ -78,7 +81,10 @@ class Objective:
     takes an ``(s, dim)`` array and returns ``((s,), (s, dim))``. ``project``
     (optional) maps a point, or an ``(s, dim)`` batch, to the nearest
     minimizer. ``primal`` (optional, dual oracles only) maps a dual point
-    to its primal point.
+    to its primal point. ``extrapolate(x_next, x, beta)`` returns the
+    solvers' extrapolated point ``x_next + beta * (x_next - x)``; an oracle
+    may replace it to prepare the evaluation of that point, but the point
+    itself must be exactly that expression.
     """
 
     dim: int
@@ -89,6 +95,7 @@ class Objective:
     eval_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
     name: str = ""
     primal: Callable[[np.ndarray], np.ndarray] | None = None
+    extrapolate: Callable[[np.ndarray, np.ndarray, float], np.ndarray] = _extrapolate
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +272,22 @@ def make_quadratic_composite(a, b) -> Objective:
     )
 
 
+def _augl1_point(A: np.ndarray, rhs: np.ndarray, alpha: float, z: np.ndarray):
+    """``(shrink_1(z)[S], x, A x - b)`` with ``x = alpha * shrink_1(z)``, for z = A^T y.
+
+    S is the support of ``shrink_1(z)``; its entries are computed as in
+    `shrink`, the others are zero, and ``A x`` is ``A[:, S] @ x[S]``, a
+    product with the support columns only.
+    """
+    S = np.flatnonzero(np.abs(z) > 1.0)
+    zs = z[S]
+    s = np.sign(zs) * (np.abs(zs) - 1.0)
+    xs = alpha * s
+    x = np.zeros(A.shape[1])
+    x[S] = xs
+    return s, x, A[:, S] @ xs - rhs
+
+
 def make_augl1_dual(a, b, alpha: float) -> Objective:
     """Negated dual of the augmented-l1 model, as a minimization oracle.
 
@@ -272,13 +295,28 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     oracle returns its negation so every solver in the package minimizes.
     The gradient is ``A x(y) - b`` with ``x(y) = alpha * shrink_1(A^T y)``,
     i.e. minus the primal residual of the recovered point. Only
-    ``L = alpha * ||A||^2`` is known; the solution set has no closed form,
-    so there is no projection and no f_star.
+    ``L = alpha * lambda_max(A A^T)`` is known (from LAPACK); the solution
+    set has no closed form, so there is no projection and no f_star.
 
-    ``primal(y)`` returns ``x(y)``. ``eval`` keeps a copy of its last point
-    and the ``x(y)`` it computed there, so ``primal`` of that same point
-    costs no matrix product; the returned array is that stored one and must
-    not be written to. Any other point is computed afresh.
+    ``A x(y)`` is a product with the columns of A on the support of x(y)
+    only, which is contiguous when A is column-major (as
+    `gen_sparse_problem` stores it). The matrix is used as given, never
+    copied.
+
+    ``extrapolate(x_next, x, beta)`` returns ``x_next + beta * (x_next - x)``
+    and, when ``A^T x_next`` and ``A^T x`` are the images of the two latest
+    points whose ``eval`` made the product ``A^T y`` itself, forms the image
+    of the returned point by linearity, ``A^T x_next + beta * (A^T x_next -
+    A^T x)``. The next ``eval`` uses that image instead of a product if,
+    and only if, it is called at exactly that point. So an accelerated step
+    makes one dense product, and the image by linearity always combines
+    images made by products. Points are matched by their content
+    (``tobytes()``), so a point written to after its ``eval`` is a new point.
+
+    ``primal(y)`` returns ``x(y)``. ``eval`` keeps the ``x(y)`` it computed
+    together with the content of its point, so ``primal`` of that same
+    point costs no matrix product; the returned array is that stored one
+    and must not be written to. Any other point is computed afresh.
     """
     A = as_matrix(a)
     rhs = as_vector(b)
@@ -289,21 +327,51 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not A.any() or not rhs.any():
         raise ValueError("A and b must both be nonzero")
+    gram = A @ A.T
+    norm_sq = sym_eig_summary(0.5 * (gram + gram.T)).lambda_max  # ||A||^2
 
-    last = None  # (y, x(y)) of the latest eval, replaced as one pair
+    products: list[tuple[bytes, np.ndarray]] = []  # (point, A^T point) of the two latest products
+    pending = None  # (point, image) formed by extrapolate, for the next eval only
+    last = None  # (point, x(point)) of the latest eval
+
+    def image_of(key):
+        for seen, z in products:
+            if seen == key:
+                return z
+        return None
 
     def eval_one(y):
-        nonlocal last
-        s = shrink(A.T @ y, 1.0)
-        primal = alpha * s
-        last = (np.array(y, dtype=np.float64), primal)
-        return 0.5 * alpha * float(s @ s) - float(rhs @ y), A @ primal - rhs
+        nonlocal pending, last
+        y = np.asarray(y, dtype=np.float64)
+        key = y.tobytes()
+        if pending is not None and pending[0] == key:
+            z = pending[1]
+        else:
+            z = A.T @ y
+            products.append((key, z))
+            if len(products) > 2:
+                del products[0]
+        pending = None
+        s, primal, grad = _augl1_point(A, rhs, alpha, z)
+        last = (key, primal)
+        return 0.5 * alpha * float(s @ s) - float(rhs @ y), grad
+
+    def extrapolate(x_next, x, beta):
+        nonlocal pending
+        y = x_next + beta * (x_next - x)
+        z_next, z = image_of(x_next.tobytes()), image_of(x.tobytes())
+        if z_next is None or z is None:
+            pending = None
+        else:
+            pending = (y.tobytes(), z_next + beta * (z_next - z))
+        return y
 
     def primal_of(y):
+        y = np.asarray(y, dtype=np.float64)
         seen = last
-        if seen is not None and np.array_equal(y, seen[0]):
+        if seen is not None and seen[0] == y.tobytes():
             return seen[1]
-        return alpha * shrink(A.T @ y, 1.0)
+        return _augl1_point(A, rhs, alpha, A.T @ y)[1]
 
     def eval_batch(ys):
         s = shrink(ys @ A, 1.0)
@@ -313,10 +381,11 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     return Objective(
         dim=m,
         eval=eval_one,
-        constants=KnownConstants(L=alpha * spectral_norm_sq(A)),
+        constants=KnownConstants(L=alpha * norm_sq),
         eval_batch=eval_batch,
         name=f"augl1-dual[{m}x{n}]",
         primal=primal_of,
+        extrapolate=extrapolate,
     )
 
 

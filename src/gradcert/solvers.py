@@ -271,12 +271,14 @@ def run_solver(
       "skip" only zeroes the weight, leaving theta untouched.
 
     Whenever beta is 0, y^(k+1) is x^(k+1) itself and its gradient is reused,
-    so gd makes one oracle call per iteration.
+    so gd makes one oracle call per iteration. Otherwise y^(k+1) comes from
+    ``oracle.extrapolate(x^(k+1), x^(k), beta_{k+1})``, which is the formula
+    above and lets an oracle prepare the evaluation of y^(k+1).
     """
     x = as_vector(x0).copy()
     if x.shape[0] != oracle.dim:
         raise ValueError(f"x0 has dim {x.shape[0]}, oracle expects {oracle.dim}")
-    evaluate = oracle.eval
+    evaluate, extrapolate = oracle.eval, oracle.extrapolate
     f_x, g_x = evaluate(x)
     gnorm = _grad_norm(f_x, g_x)
     if gnorm is None:
@@ -340,7 +342,7 @@ def run_solver(
         if beta == 0.0:
             y, g_y = x_next, g_x
         else:
-            y, g_y = x_next + beta * (x_next - x), None
+            y, g_y = extrapolate(x_next, x, beta), None
         x = x_next
         k += 1
         if f_x > thresh:

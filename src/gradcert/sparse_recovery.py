@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .numkit import GaussianStream, as_vector
-from .oracles import Objective, make_augl1_dual, shrink
+from .oracles import Objective, _augl1_point, make_augl1_dual
 from .solvers import SolverConfig, SolverTrace, run_solver
 
 __all__ = [
@@ -36,10 +36,12 @@ class SparseProblem:
     Consistency ``b = A x_true`` holds by construction. ``alpha`` is the
     augmentation weight of the recovery model (default 10 ||x_true||_inf).
     ``dual`` is the problem's augmented-l1 dual oracle, built on first use
-    and then kept, so ``||A||^2`` is estimated once per problem however many
-    recoveries run on it. `gen_sparse_problem` makes ``A``, ``b`` and
-    ``x_true`` read-only so that the kept oracle cannot go stale; a problem
-    built by hand must not change its arrays after ``dual`` is first read.
+    and then kept, so ``||A||^2`` is computed once per problem however many
+    recoveries run on it. `gen_sparse_problem` stores ``A`` column-major, so
+    that the columns the dual multiplies on the support of the primal point
+    are contiguous, and makes ``A``, ``b`` and ``x_true`` read-only so that
+    the kept oracle cannot go stale; a problem built by hand must not change
+    its arrays after ``dual`` is first read.
     """
 
     A: np.ndarray
@@ -118,7 +120,9 @@ def gen_sparse_problem(
     Nonzero amplitudes are standard normal (``signal="gaussian"``) or
     equiprobable +-1 (``signal="pm_one"``). Identical seeds give bitwise
     identical problems. ``alpha`` defaults to ``10 ||x_true||_inf`` (1.0 for
-    the degenerate all-zero signal). The returned arrays are read-only.
+    the degenerate all-zero signal). ``b`` is computed from the row-major
+    draw of A, which is then stored column-major (same values). The returned
+    arrays are read-only.
     """
     if not m < n:
         raise ValueError(f"need m < n, got m = {m}, n = {n}")
@@ -141,6 +145,7 @@ def gen_sparse_problem(
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     b = A @ x_true
+    A = np.asfortranarray(A)
     for arr in (A, b, x_true):
         arr.setflags(write=False)
     return SparseProblem(A=A, b=b, x_true=x_true, alpha=float(alpha), seed=int(seed))
@@ -151,13 +156,15 @@ def lbreg_step(problem: SparseProblem, y, h: float) -> tuple[np.ndarray, np.ndar
 
         x_next = alpha * shrink_1(A^T y)
         y_next = y + h (b - A x_next)
+
+    ``A x_next - b`` is computed as the dual oracle computes its gradient,
+    so this is bit for bit a gradient step on ``problem.dual``.
     """
     yv = as_vector(y)
     if yv.shape[0] != problem.m:
         raise ValueError(f"dual variable has dim {yv.shape[0]}, expected {problem.m}")
-    x_next = problem.alpha * shrink(problem.A.T @ yv, 1.0)
-    y_next = yv + h * (problem.b - problem.A @ x_next)
-    return x_next, y_next
+    _, x_next, resid = _augl1_point(problem.A, problem.b, problem.alpha, problem.A.T @ yv)
+    return x_next, yv - h * resid
 
 
 def _degenerate_result(problem: SparseProblem, variant: str) -> RecoveryResult:
@@ -197,7 +204,9 @@ def recover(
     "restart", "skip" (the last two are the adaptive reset policies).
     The solver runs on ``problem.dual``, so repeated recoveries on one
     problem share one oracle, and the primal point of each iterate is the
-    one that oracle computed in the evaluation just made.
+    one that oracle computed in the evaluation just made. The residual
+    curve is the trace's gradient norm, since the dual gradient is
+    ``A x - b``.
     """
     if variant not in RECOVERY_VARIANTS:
         raise ValueError(f"unknown recovery variant {variant!r}")
@@ -220,16 +229,13 @@ def recover(
 
     x_norm = float(np.linalg.norm(problem.x_true))
     rel_curve: list[float] | None = [] if x_norm > 0 else None
-    res_curve: list[float] = []
     last_primal = np.zeros(problem.n)
 
     primal_of = oracle.primal
 
-    def observe(_k: int, y: np.ndarray, _f: float, g: np.ndarray) -> None:
+    def observe(_k: int, y: np.ndarray, _f: float, _g: np.ndarray) -> None:
         nonlocal last_primal
         last_primal = primal_of(y)  # the oracle's array: read, never written
-        # the dual gradient is A x(y) - b, so its norm is the primal residual
-        res_curve.append(float(np.linalg.norm(g)))
         if rel_curve is not None:
             rel_curve.append(float(np.linalg.norm(last_primal - problem.x_true)) / x_norm)
 
@@ -237,7 +243,7 @@ def recover(
     return RecoveryResult(
         x_final=last_primal.copy(),
         rel_error_curve=None if rel_curve is None else np.array(rel_curve),
-        primal_residual_curve=np.array(res_curve),
+        primal_residual_curve=trace.grad_norm.copy(),
         iters=len(trace),
         variant=variant,
         dual_trace=trace,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcert.numkit import GaussianStream, spectral_norm_sq, sym_eig_summary
+from gradcert.numkit import GaussianStream, sym_eig_summary
 from gradcert.oracles import (
     KnownConstants,
     compose_constants,
@@ -221,7 +221,7 @@ def test_dual_flat_region():
 def test_dual_constants_and_capabilities():
     a = GaussianStream(8).normal((4, 12))
     dual = make_augl1_dual(a, a @ np.ones(12), 5.0)
-    assert dual.constants.L == pytest.approx(5.0 * spectral_norm_sq(a), rel=1e-10)
+    assert dual.constants.L == pytest.approx(5.0 * np.linalg.norm(a, 2) ** 2, rel=1e-12)
     assert dual.constants.nu is None and dual.f_star is None and dual.project is None
 
 

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from gradcert import numkit, sparse_recovery
+from gradcert import oracles, sparse_recovery
 from gradcert.certify import fit_rate
 from gradcert.numkit import GaussianStream
 from gradcert.solvers import SolverTrace
@@ -98,6 +98,15 @@ def test_gen_arrays_are_read_only():
     for arr in (p.A, p.b, p.x_true):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_gen_matrix_is_column_major_and_read_only():
+    p = small_problem()
+    assert p.A.flags.f_contiguous and not p.A.flags.writeable
+    # the same values as the row-major draw, and b = A x_true from that draw
+    a = GaussianStream(p.seed).normal((p.m, p.n))
+    assert np.array_equal(p.A, a)
+    assert np.array_equal(p.b, a @ p.x_true)
 
 
 def test_lbreg_step_equals_dual_gradient_step():
@@ -214,13 +223,13 @@ def _counting(monkeypatch, owner, name):
 
 def test_dual_built_once_per_problem(monkeypatch):
     builds = _counting(monkeypatch, sparse_recovery, "make_augl1_dual")
-    powers = _counting(monkeypatch, numkit, "gram_spectral_norm")
+    spectra = _counting(monkeypatch, oracles, "sym_eig_summary")
     p = small_problem()
     assert not builds  # built on first use, not by gen_sparse_problem
     for variant in RECOVERY_VARIANTS:
         recover(p, variant, max_iters=50_000)
     assert len(builds) == 1
-    assert len(powers) == 1
+    assert len(spectra) == 1
 
 
 def _assert_same_result(r1, r2):
