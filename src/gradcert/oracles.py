@@ -275,13 +275,13 @@ def make_quadratic_composite(a, b) -> Objective:
 def _augl1_point(A: np.ndarray, rhs: np.ndarray, alpha: float, z: np.ndarray):
     """``(shrink_1(z)[S], x, A x - b)`` with ``x = alpha * shrink_1(z)``, for z = A^T y.
 
-    S is the support of ``shrink_1(z)``; its entries are computed as in
-    `shrink`, the others are zero, and ``A x`` is ``A[:, S] @ x[S]``, a
-    product with the support columns only.
+    S is the support of ``shrink_1(z)``, where ``|z| - 1 > 0``; there the
+    entries are ``+-(|z| - 1)``, the bits `shrink` computes, elsewhere zero.
+    ``A x`` is ``A[:, S] @ x[S]``, a product with the support columns only.
     """
-    S = np.flatnonzero(np.abs(z) > 1.0)
-    zs = z[S]
-    s = np.sign(zs) * (np.abs(zs) - 1.0)
+    u = np.abs(z) - 1.0
+    S = (u > 0.0).nonzero()[0]
+    s = np.copysign(u[S], z[S])
     xs = alpha * s
     x = np.zeros(A.shape[1])
     x[S] = xs
