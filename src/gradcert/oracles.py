@@ -354,7 +354,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         pending = None
         s, primal, grad = _augl1_point(A, rhs, alpha, z)
         last = (key, primal)
-        return 0.5 * alpha * float(s @ s) - float(rhs @ y), grad
+        return 0.5 * alpha * float(s.dot(s)) - float(rhs.dot(y)), grad
 
     def extrapolate(x_next, x, beta):
         nonlocal pending
