@@ -275,12 +275,13 @@ def make_quadratic_composite(a, b) -> Objective:
 def _augl1_point(A: np.ndarray, rhs: np.ndarray, alpha: float, z: np.ndarray):
     """``(shrink_1(z)[S], x, A x - b)`` with ``x = alpha * shrink_1(z)``, for z = A^T y.
 
-    S is the support of ``shrink_1(z)``, where ``|z| - 1 > 0``; there the
-    entries are ``+-(|z| - 1)``, the bits `shrink` computes, elsewhere zero.
+    S is the support of ``shrink_1(z)``, where ``|z| - 1 > 0`` or is NaN;
+    there the entries are ``+-(|z| - 1)``, the bits `shrink` computes,
+    elsewhere zero. A NaN or infinite entry of z thus reaches ``A x - b``.
     ``A x`` is ``A[:, S] @ x[S]``, a product with the support columns only.
     """
     u = np.abs(z) - 1.0
-    S = (u > 0.0).nonzero()[0]
+    S = np.flatnonzero(~(u <= 0.0))
     s = np.copysign(u[S], z[S])
     xs = alpha * s
     x = np.zeros(A.shape[1])
@@ -371,7 +372,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         seen = last
         if seen is not None and seen[0] == y.tobytes():
             return seen[1]
-        return _augl1_point(A, rhs, alpha, A.T @ y)[1]
+        return alpha * shrink(A.T @ y, 1.0)
 
     def eval_batch(ys):
         s = shrink(ys @ A, 1.0)

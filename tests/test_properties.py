@@ -154,27 +154,33 @@ def test_dual_point_written_after_eval_gets_a_fresh_product(case, beta, written)
     assert np.array_equal(g, g_ref)
 
 
-_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0),
-          np.nextafter(1.0, 0.0), 1e-300, 1e300]
+_FINITE_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0),
+                 np.nextafter(1.0, 0.0), 1e-300, 1e300]
+_EDGES = _FINITE_EDGES + [np.nan, np.inf, -np.inf]
 
 
 @PROPERTY
 @given(st.lists(st.floats(-1e3, 1e3) | st.sampled_from(_EDGES), min_size=1, max_size=40))
 def test_support_form_shrink_is_bitwise_shrink(values):
     z = np.array(values)
-    s, x, resid = _augl1_point(np.eye(z.size), np.zeros(z.size), 1.0, z)
+    with np.errstate(invalid="ignore"):  # inf * 0 in A x on non-finite z
+        s, x, resid = _augl1_point(np.eye(z.size), np.zeros(z.size), 1.0, z)
     # shrink writes -0.0 below the threshold where the support form leaves
     # +0.0; adding 0.0 maps both to +0.0 and changes no other bit
     assert x.tobytes() == (shrink(z, 1.0) + 0.0).tobytes()
     assert s.tobytes() == x[x != 0.0].tobytes()
-    assert np.array_equal(resid, x)
+    if np.isfinite(z).all():
+        assert np.array_equal(resid, x)
+    else:
+        # as in a dense product, a NaN or infinite x(y) spoils A x - b
+        assert not np.isfinite(resid).all()
 
 
 @PROPERTY
 @given(st.data())
 def test_shrink_does_not_expand_distances(data):
     n = data.draw(st.integers(1, 30))
-    coords = st.floats(-1e6, 1e6) | st.sampled_from(_EDGES[:-1])
+    coords = st.floats(-1e6, 1e6) | st.sampled_from(_FINITE_EDGES[:-1])
     a = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
     b = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
     t = data.draw(st.floats(1e-6, 1e3))

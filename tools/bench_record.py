@@ -3,20 +3,24 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_record.py --parent DIR --change DIR --pr N \
-        --workload W --seeds 1 2 ... 7919 [--seconds 30]
+        --workload W --seeds 1 2 ... 7919
 
-Each seed makes one pair: ``python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0`` in the parent checkout and in the change checkout,
-one after the other, the parent first in even pairs and the change first in
-odd ones, so that drift of the machine's speed falls on both sides alike.
-The last line a run prints is its JSON result; the ``env:`` line before it
-is kept too. The record ``BENCH_<N>.json`` at the root of this checkout gets
-one entry per workload: every pair, each side's median and quartiles of
-each end-to-end metric named in ``BENCHMARK.json``, how many pairs the
-change won, and whether that makes a claimable gain (at least nine tenths
-of the pairs won and the medians apart by more than the parent's
-interquartile distance). Running it again for another workload adds that
-workload to the same record; a workload recorded again is replaced.
+Each seed makes one pair: the command of ``BENCHMARK.json`` with ``--workload
+W --seed S --seconds T --trace 0``, T its ``run_seconds``, run in the parent
+checkout and in the change checkout one after the other, the parent first in
+even pairs and the change first in odd ones, so that drift of the machine's
+speed falls on both sides alike. The last line a run prints is its JSON
+result; the ``env:`` line before it is kept too.
+
+Each call appends one run set to the workload's list in ``BENCH_<N>.json`` at
+the root of this checkout, so every set ever recorded stays in the record.
+A run set holds every pair and, for each end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles, the parent's spread
+and how many pairs the change won. A gain is claimable only when every run
+exited 0 and passed its correctness check, no pair's change failed a larger
+share of its ops than its parent, the change won at least nine tenths of the
+pairs and the medians lie apart by more than the parent's interquartile
+distance.
 """
 
 from __future__ import annotations
@@ -29,13 +33,16 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from stats import median, spread  # noqa: E402
+
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its env line and its JSON result."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+def run_once(command: list[str], checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One untraced benchmark run: its exit code, env line and JSON result."""
+    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -45,21 +52,26 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {
         "exit_code": proc.returncode,
         "env": env,
+        "correct": result["correct"],
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
 
 
-def quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+def runs_sound(pairs: list[dict]) -> bool:
+    """Every run exited 0 and was correct, and no change failed more ops than its parent."""
+    def failed_share(run):
+        return run["failed"] / max(run["attempted"], 1)
+
+    return all(
+        p[s]["exit_code"] == 0 and p[s]["correct"] for p in pairs for s in SIDES
+    ) and all(failed_share(p["change"]) <= failed_share(p["parent"]) for p in pairs)
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per metric: each side's quartiles, the change's wins, and the verdict inputs."""
+    """Per metric: each side's median and quartiles, the change's wins, and the verdict."""
+    sound = runs_sound(pairs)
     out = {}
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -67,68 +79,73 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         wins = sum(
             (c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"])
         )
-        par, chg = quartiles(vals["parent"]), quartiles(vals["change"])
-        iqr = par["q3"] - par["q1"]
+        sides = {}
+        for s in SIDES:
+            q1, _, q3 = statistics.quantiles(vals[s], n=4)
+            sides[s] = {"median": median(vals[s]), "q1": q1, "q3": q3}
+        par, chg = sides["parent"]["median"], sides["change"]["median"]
         # share by which the change's median is worse than the parent's (< 0: better)
-        worse = (chg["median"] - par["median"]) / par["median"]
-        if higher:
-            worse = -worse
+        worse = (chg - par) / par * (-1 if higher else 1)
+        parent_spread = spread(vals["parent"])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "bound": spec["bound"],
-            "parent": par,
-            "change": chg,
-            "change_over_parent": chg["median"] / par["median"],
+            **sides,
+            "change_over_parent": chg / par,
             "change_worse_by": worse,
-            "parent_spread": iqr / par["median"],
+            "parent_spread": parent_spread,
             "change_wins": wins,
             "pairs": len(pairs),
-            "gain_claimable": wins >= 0.9 * len(pairs)
-            and -worse * par["median"] > iqr,
+            "gain_claimable": sound and wins >= 0.9 * len(pairs) and -worse > parent_spread,
         }
     return out
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pr", type=int, required=True)
-    parser.add_argument("--workload", required=True, choices=("recovery", "certify", "cli"))
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
+    if len(args.seeds) < 2:
+        parser.error("quartiles need at least two pairs")
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
+            pair[side] = run_once(spec["command"], checkouts[side], args.workload, seed, seconds)
             m = pair[side]["metrics"]
             print(f"pair {i} seed {seed} {side}: " + ", ".join(f"{k} {v:.6g}" for k, v in m.items()),
                   flush=True)
         pairs.append(pair)
 
-    dest = ROOT / f"BENCH_{args.pr}.json"
-    record = json.loads(dest.read_text()) if dest.exists() else {"pr": args.pr, "workloads": {}}
-    record["workloads"][args.workload] = {
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+    run_set = {
+        "command": " ".join(spec["command"])
+        + f" --workload {args.workload} --seed S --seconds {seconds} --trace 0",
         "env": {side: pairs[0][side]["env"] for side in SIDES},
         "seeds": args.seeds,
+        "sound": runs_sound(pairs),
         "summary": summarize(pairs, spec["end_to_end"]),
         "pairs": pairs,
     }
+    dest = ROOT / f"BENCH_{args.pr}.json"
+    record = json.loads(dest.read_text()) if dest.exists() else {"pr": args.pr, "workloads": {}}
+    record["workloads"].setdefault(args.workload, []).append(run_set)
     dest.write_text(json.dumps(record, indent=1) + "\n")
-    for name, s in record["workloads"][args.workload]["summary"].items():
+    for name, s in run_set["summary"].items():
         print(f"{name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
               f"(x{s['change_over_parent']:.3f}), change wins {s['change_wins']}/{s['pairs']}, "
-              f"parent spread {s['parent_spread']:.3f}, bound {s['bound']}")
-    return 0 if all(p[s]["exit_code"] == 0 for p in pairs for s in SIDES) else 1
+              f"parent spread {s['parent_spread']:.3f}, bound {s['bound']}, "
+              f"gain claimable {s['gain_claimable']}")
+    return 0 if run_set["sound"] else 1
 
 
 if __name__ == "__main__":
