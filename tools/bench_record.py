@@ -10,7 +10,8 @@ W --seed S --seconds T --trace 0``, T its ``run_seconds``, run in the parent
 checkout and in the change checkout one after the other, the parent first in
 even pairs and the change first in odd ones, so that drift of the machine's
 speed falls on both sides alike. The last line a run prints is its JSON
-result; the ``env:`` line before it is kept too.
+result; the ``env:`` line before it is kept too, and names each run's commit
+when the checkouts are git clones (an exported tree reads ``null``).
 
 Each call appends one run set to the workload's list in ``BENCH_<N>.json`` at
 the root of this checkout, so every set ever recorded stays in the record.
