@@ -85,6 +85,12 @@ class Objective:
     solvers' extrapolated point ``x_next + beta * (x_next - x)``; an oracle
     may replace it to prepare the evaluation of that point, but the point
     itself must be exactly that expression.
+
+    ``eval`` and ``project`` must be deterministic functions of their
+    point's content (its bytes), except at a point that ``extrapolate`` has
+    just prepared. Gradient descent never extrapolates, and `run_solver`
+    relies on this when a gradient step leaves its point unchanged: it
+    records the rest of the run without calling the oracle again.
     """
 
     dim: int

@@ -81,7 +81,7 @@ class SolverConfig:
             raise ValueError(f"stepsize_h must be positive, got {self.stepsize_h}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol < 0:
+        if not self.grad_tol >= 0:  # NaN never stops a run
             raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
@@ -104,7 +104,9 @@ class SolverTrace:
     ``dist_to_sol`` is present only when the oracle has a projection;
     ``iterates`` only when the run kept them. ``reset_event`` marks epoch
     boundaries ("restart") and adaptive reactions ("restart"/"skip").
-    ``n_evals`` is the number of ``oracle.eval`` calls the run made; it is
+    ``n_evals`` is the number of ``oracle.eval`` calls the run made, so gd
+    stops counting once it reaches a floating-point fixed point, whose later
+    records it repeats without calling the oracle (see `run_solver`); it is
     None for traces not produced by a solver run (hand-built or read back
     with `load_trace_csv`).
     """
@@ -229,6 +231,26 @@ class _TraceBuilder:
         if self.callback is not None:
             self.callback(k, x, float(fv), g)
 
+    def repeat(self, x: np.ndarray, fv: float, g: np.ndarray, count: int) -> None:
+        """Append ``count`` copies of the record just pushed for ``x``.
+
+        Each copy is what `push` would record for a point of the same
+        content: the same value, gradient norm and distance, a "none" event,
+        its own iterate copy, and one callback call with the next k.
+        """
+        k = len(self.f)
+        self.f.extend([self.f[-1]] * count)
+        self.grad_norm.extend([self.grad_norm[-1]] * count)
+        if self.dist is not None:
+            self.dist.extend([self.dist[-1]] * count)
+        self.events.extend(["none"] * count)
+        if self.iterates is not None:
+            self.iterates.extend(x.copy() for _ in range(count))
+        if self.callback is not None:
+            fv = float(fv)
+            for i in range(k, k + count):
+                self.callback(i, x, fv, g)
+
     def freeze(self, status: str, f_star: float | None, n_evals: int) -> SolverTrace:
         return SolverTrace(
             f=np.array(self.f),
@@ -271,7 +293,13 @@ def run_solver(
       "skip" only zeroes the weight, leaving theta untouched.
 
     Whenever beta is 0, y^(k+1) is x^(k+1) itself and its gradient is reused,
-    so gd makes one oracle call per iteration. Otherwise y^(k+1) comes from
+    so gd makes one oracle call per iteration until it reaches a
+    floating-point fixed point: once x^(k+1) has the same content (bytes) as
+    x^(k), every later iterate repeats it, since ``oracle.eval`` is a
+    deterministic function of its point's content. gd then records the
+    remaining records up to ``cfg.max_iters`` without calling the oracle and
+    stops with status "max_iters"; every field but ``n_evals`` is what the
+    full loop would record. Otherwise y^(k+1) comes from
     ``oracle.extrapolate(x^(k+1), x^(k), beta_{k+1})``, which is the formula
     above and lets an oracle prepare the evaluation of y^(k+1).
     """
@@ -332,6 +360,7 @@ def run_solver(
                 theta, beta = theta_step(theta)
             prev_y, prev_gy = y, g_y
 
+        f_prev, gnorm_prev = f_x, gnorm
         f_x, g_x = evaluate(x_next)
         n_evals += 1
         gnorm = _grad_norm(f_x, g_x)
@@ -339,13 +368,17 @@ def run_solver(
             status = "diverged"
             break
         push(x_next, f_x, g_x, gnorm, event)
+        k += 1
+        if f_x > thresh:
+            status = "diverged"
+            break
+        if gd and f_x == f_prev and gnorm == gnorm_prev and x_next.tobytes() == x.tobytes():
+            # a fixed point: the stopping checks passed these same values
+            tb.repeat(x_next, f_x, g_x, max_iters - k)
+            break
         if beta == 0.0:
             y, g_y = x_next, g_x
         else:
             y, g_y = extrapolate(x_next, x, beta), None
         x = x_next
-        k += 1
-        if f_x > thresh:
-            status = "diverged"
-            break
     return tb.freeze(status, f_star, n_evals)

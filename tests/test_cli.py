@@ -62,6 +62,14 @@ def test_solve_rejects_options_the_variant_ignores(tmp_path, capsys, variant, ex
     assert not (tmp_path / "trace.csv").exists()
 
 
+def test_solve_rejects_nan_grad_tol(tmp_path, capsys):
+    code = run_cli("solve", "--oracle", "quad:m=20,n=50,seed=1", "--variant", "gd",
+                   "--h", "auto", "--max-iters", "10", "--grad-tol", "nan", "--out", str(tmp_path))
+    assert code == 2
+    assert "grad_tol" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_solve_writes_artifacts_and_reproduces(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["solve", "--oracle", "quad:m=10,n=25,seed=7", "--variant", "gd",

@@ -9,17 +9,19 @@ by linearity, must match a fresh product to rounding, and must be a fresh
 product whenever a point changed after its evaluation. The support form of
 the shrink must be bitwise `shrink`, which must not expand distances. Gradient
 descent and Nesterov's scheme must match plain in-test loops bit for bit;
-the dampening sequence must satisfy its recursion; and ``check_bounds``
-must place an injected violation at the right iteration.
+the dampening sequence must satisfy its recursion; ``check_bounds``
+must place an injected violation at the right iteration; and
+``appendix_grid`` must return exactly what a full scan of its grid returns.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradcert.certify import check_bounds
+from gradcert.certify import GridOptimum, appendix_grid, check_bounds
 from gradcert.numkit import GaussianStream
 from gradcert.oracles import _augl1_point, make_augl1_dual, make_quadratic_composite, shrink
 from gradcert.solvers import SolverConfig, SolverTrace, run_solver, theta_step
@@ -268,3 +270,37 @@ def test_check_bounds_finds_injected_violation(data):
     assert report.first_fail_k == k
     assert report.n_checked == np.count_nonzero(r[:-1] >= 1e-12)
     assert report.n_checked + report.n_vacuous == n - 1
+
+
+def _full_scan_grid(big_r, nu, grid_steps):
+    """`appendix_grid` as a scan of every grid row, one theta at a time."""
+    n = int(grid_steps)
+    thetas = np.linspace(0.0, 1.0, n + 1)
+    frac_a = np.arange(1, n + 1, dtype=np.float64) / n
+    frac_b = np.linspace(0.0, 1.0, n + 1)
+    best_a = (math.inf, 0.0, 0.0)
+    best_b = (math.inf, 0.0, 0.0)
+    for theta in thetas:
+        if theta > 0.0:
+            h = (theta / big_r) * frac_a
+            fa = (nu * h) ** 2 - 2.0 * ((1.0 - theta) * nu + theta * nu**2 / (2.0 * big_r)) * h + 1.0
+            i = int(np.argmin(fa))
+            if fa[i] < best_a[0]:
+                best_a = (float(fa[i]), float(theta), float(h[i]))
+        lo = theta / big_r
+        h = lo + (4.0 / big_r - lo) * frac_b
+        fb = (2.0 * big_r * h) ** 2 - 2.0 * (2.0 * theta * big_r + (1.0 - theta) * nu) * h + 1.0
+        i = int(np.argmin(fb))
+        if fb[i] < best_b[0]:
+            best_b = (float(fb[i]), float(theta), float(h[i]))
+    min_value, theta_star, h_star = best_a if best_a[0] <= best_b[0] else best_b
+    return GridOptimum(theta_star, h_star, min_value, best_a[0], best_b[0])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.floats(-2.0, 2.0), st.floats(0.001, 1.999, exclude_min=True, exclude_max=True),
+       st.integers(1000, 3000))
+def test_appendix_grid_is_the_full_scan(log_r, nu_over_r, steps):
+    big_r = 10.0**log_r
+    nu = nu_over_r * big_r
+    assert appendix_grid(big_r, nu, steps) == _full_scan_grid(big_r, nu, steps)

@@ -6,6 +6,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
+from gradcert.numkit import GaussianStream
 from gradcert.oracles import Objective, make_example_1d, make_quadratic_composite
 from gradcert.solvers import (
     SolverConfig,
@@ -147,6 +148,9 @@ def test_config_validation():
         SolverConfig(stepsize_h=1.0, max_iters=5, variant="restart_fixed")
     with pytest.raises(ValueError):
         SolverConfig(stepsize_h=1.0, max_iters=5, variant="adaptive", policy="bogus")
+    for tol in (-1.0, math.nan):  # a NaN tolerance would never stop a run
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolverConfig(stepsize_h=1.0, max_iters=5, grad_tol=tol)
     # a field the variant would ignore is rejected by name
     for variant, extra in (
         ("gd", {"restart_every": 3}),
@@ -162,6 +166,13 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="policy"):
             SolverConfig(stepsize_h=1.0, max_iters=5, variant=variant, **extra)
+
+
+def test_infinite_grad_tol_stops_at_the_start(quad_20x50):
+    cfg = SolverConfig(stepsize_h=1.0, max_iters=5, grad_tol=math.inf)
+    tr = run_solver(quad_20x50, np.ones(50), cfg)
+    assert tr.status == "tol_reached"
+    assert len(tr) == 1 and tr.n_evals == 1
 
 
 def _reference_nesterov(grad, x0, h, n):
@@ -467,3 +478,113 @@ def test_non_finite_mid_run_diverges_and_is_counted(variant, bad_call, bad):
     assert tr.status == "diverged"
     assert tr.n_evals == len(calls) == bad_call
     assert len(tr) == bad_call - 1
+
+
+# ---------------------------------------------------------------------------
+# gradient descent at a floating-point fixed point
+
+
+def _certify_quad():
+    """The 20x50 quad of the certify benchmark's seed 1, quad 0."""
+    stream = GaussianStream(1000)
+    a = stream.normal((20, 50))
+    return make_quadratic_composite(a, a @ stream.normal(50))
+
+
+def _plain_gd(oracle, x0, h, iters):
+    """gd's records as a plain ``x - h * g`` loop with one oracle call each."""
+    xs, f, grad_norm, dist = [], [], [], []
+    x = x0.copy()
+    for _ in range(iters + 1):
+        fx, g = oracle.eval(x)
+        xs.append(x)
+        f.append(float(fx))
+        grad_norm.append(float(np.linalg.norm(g)))
+        dist.append(float(np.linalg.norm(x - oracle.project(x))))
+        x = x - h * g
+    return xs, np.array(f), np.array(grad_norm), np.array(dist)
+
+
+def _first_repeat(xs):
+    return next(k for k in range(1, len(xs)) if xs[k].tobytes() == xs[k - 1].tobytes())
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_gd_at_a_fixed_point_records_the_plain_loop_bitwise(keep):
+    quad = _certify_quad()
+    h, x0 = 1.0 / quad.constants.R, 100.0 * np.ones(50)
+    xs, f, grad_norm, dist = _plain_gd(quad, x0, h, 1000)
+    k_fixed = _first_repeat(xs)
+    assert k_fixed < 1000  # the run reaches its fixed point well inside the budget
+    oracle, calls = _counting(quad)
+    seen = []
+    cfg = SolverConfig(stepsize_h=h, max_iters=1000, variant="gd")
+    tr = run_solver(oracle, x0, cfg, keep_iterates=keep,
+                    callback=lambda k, x, fv, g: seen.append((k, x.tobytes(), fv)))
+    assert tr.status == "max_iters" and len(tr) == 1001
+    assert tr.f.tobytes() == f.tobytes()
+    assert tr.grad_norm.tobytes() == grad_norm.tobytes()
+    assert tr.dist_to_sol.tobytes() == dist.tobytes()
+    assert tr.reset_event == ("none",) * 1001
+    if keep:
+        assert len(tr.iterates) == 1001
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(tr.iterates, xs))
+        assert len({id(a) for a in tr.iterates}) == 1001  # one copy per record
+    else:
+        assert tr.iterates is None
+    # the oracle is called up to the first repeated record and never after it
+    assert tr.n_evals == len(calls) == k_fixed + 1
+    # the callback sees every record once, in order, with the loop's point and value
+    assert [k for k, _, _ in seen] == list(range(1001))
+    assert all(xb == x.tobytes() and fv == fk for (_, xb, fv), x, fk in zip(seen, xs, f))
+
+
+def test_a_step_that_only_flips_the_sign_of_zero_is_not_a_fixed_point():
+    # -0.0 - (-0.0) is +0.0, which compares equal to -0.0 but is another
+    # point: this oracle's gradient there moves x on
+    def eval_(x):
+        if np.signbit(x[0]):
+            return 1.0, np.array([-0.0, 1e-20])
+        return 1.0, np.array([1e-20, -0.0])
+
+    oracle, calls = _counting(Objective(dim=2, eval=eval_))
+    tr = run_solver(oracle, np.array([-0.0, 1.0]), SolverConfig(stepsize_h=1.0, max_iters=6))
+    want = [[-0.0, 1.0], [0.0, 1.0]] + [[-1e-20, 1.0]] * 5
+    assert [x.tobytes() for x in tr.iterates] == [np.array(w).tobytes() for w in want]
+    assert tr.n_evals == len(calls) == 4  # x^(3) repeats x^(2)
+
+
+def _stalled():
+    # a gradient too small to move x = 1: every step returns the same point
+    return Objective(dim=1, eval=lambda x: (0.0, np.array([1e-30])))
+
+
+@pytest.mark.parametrize(
+    "variant, extra, n_evals",
+    [
+        ("gd", {}, 2),
+        ("nesterov", {}, 9),
+        ("adaptive", {"policy": "restart"}, 9),
+        ("restart_fixed", {"restart_every": 3}, 7),
+    ],
+)
+def test_only_gd_stops_calling_a_stalled_oracle(variant, extra, n_evals):
+    cfg = SolverConfig(stepsize_h=1.0, max_iters=5, variant=variant, **extra)
+    seen = []
+    tr = run_solver(_stalled(), np.ones(1), cfg, callback=lambda k, *_: seen.append(k))
+    assert tr.status == "max_iters" and len(tr) == 6
+    assert tr.n_evals == n_evals
+    assert seen == list(range(6))
+    assert all(x.tobytes() == np.ones(1).tobytes() for x in tr.iterates)
+
+
+@pytest.mark.parametrize(
+    "variant, extra, n_evals",
+    [("nesterov", {}, 1999), ("adaptive", {"policy": "restart"}, 1967),
+     ("adaptive", {"policy": "skip"}, 1947)],
+)
+def test_accelerated_runs_keep_their_oracle_calls(variant, extra, n_evals):
+    quad = _certify_quad()
+    cfg = SolverConfig(1.0 / quad.constants.R, 1000, variant=variant, **extra)
+    tr = run_solver(quad, 100.0 * np.ones(50), cfg, keep_iterates=False)
+    assert len(tr) == 1001 and tr.n_evals == n_evals
