@@ -604,39 +604,39 @@ def fit_rate(
 # appendix grid verification
 
 
-_NEAR_VERTEX = np.arange(-3, 4)
-# how far above the smallest windowed row minimum a row must lie to be
-# passed over; far above the rounding error (a few ulps of terms <= 100)
+# rows whose windowed minimum lies this far above the smallest are passed
+# over: far above the rounding of terms that stay below 100
 _GRID_TIE = 1e-11
 
 
-def _grid_case(thetas, n_cols, h_of, f_of, vertex):
+def _grid_case(thetas, lo, span, frac, s, c):
     """First-occurrence minimum ``(value, theta, h)`` of one grid case.
 
-    Row r is the grid ``h_of(thetas[r], cols)``, cols = 0 .. n_cols-1,
-    evenly spaced in h, with values ``f_of(thetas[r], h)``: a convex
-    quadratic in h with its vertex at ``vertex[r]``. All rows are evaluated
-    at once on the columns within 3 of the vertex and the two ends, which
-    hold the row's exact minimizer, so a row's windowed minimum is within
-    rounding of its true one. Rows whose windowed minimum comes within
+    Row r holds the stepsizes ``h = lo[r] + span[r] * frac`` and the values
+    ``(s h)^2 - 2 c[r] h + 1``, convex in h with the vertex ``c[r] / s^2``.
+    All rows are evaluated together at the 7 columns nearest the vertex and
+    at both ends, which hold the row's exact minimizer, so each windowed
+    minimum is within rounding of its row's minimum. The rows within
     `_GRID_TIE` of the smallest are then scanned in full, in order, keeping
-    the first strictly smaller value, so the result is that of a full scan
-    of every row.
+    the first strictly smaller value: the result of a full scan of all rows.
     """
-    first, last = h_of(thetas, 0), h_of(thetas, n_cols - 1)
-    centre = np.clip((vertex - first) / (last - first) * (n_cols - 1), 0, n_cols - 1)
-    cols = np.clip(np.rint(centre).astype(np.intp)[:, None] + _NEAR_VERTEX, 0, n_cols - 1)
-    cols = np.concatenate([cols, np.broadcast_to([0, n_cols - 1], (thetas.shape[0], 2))], axis=1)
-    col_theta = thetas[:, None]
-    row_min = f_of(col_theta, h_of(col_theta, cols)).min(axis=1)
+
+    def row(r, cols):
+        h = lo[r] + span[r] * frac[cols]
+        return (s * h) ** 2 - 2.0 * c[r] * h + 1.0, h
+
+    last = frac.shape[0] - 1
+    at = ((c / s**2 - lo) / span - frac[0]) / (frac[last] - frac[0]) * last
+    at = np.rint(np.clip(at, 0, last)).astype(np.intp)
+    row_min = np.full(thetas.shape, np.inf)
+    for cols in (0, last, *(np.clip(at + d, 0, last) for d in range(-3, 4))):
+        row_min = np.minimum(row_min, row(slice(None), cols)[0])
     best = (math.inf, 0.0, 0.0)
     for r in np.flatnonzero(row_min <= row_min.min() + _GRID_TIE):
-        theta = thetas[r]
-        h = h_of(theta, slice(None))
-        f = f_of(theta, h)
+        f, h = row(r, slice(None))
         i = int(np.argmin(f))
         if f[i] < best[0]:
-            best = (float(f[i]), float(theta), float(h[i]))
+            best = (float(f[i]), float(thetas[r]), float(h[i]))
     return best
 
 
@@ -648,10 +648,8 @@ def appendix_grid(big_r: float, nu: float, grid_steps: int) -> GridOptimum:
 
     Both attain the common minimum 1 - nu/(2R) at (theta, h) = (1/2, 1/(2R));
     case B's unbounded h-range is truncated at 4/R, past every minimizer.
-    Each case is the first-occurrence minimum over grid_steps + 1 values of
-    theta (case A leaves out theta = 0) and grid_steps (A) or grid_steps + 1
-    (B) stepsizes per theta, ties going to the smaller theta, then to the
-    smaller h; case A wins ties between the cases.
+    Each case's optimum is its first grid minimum, theta before h; case A
+    wins a tie between the cases.
     """
     if big_r <= 0:
         raise ValueError(f"R must be positive, got {big_r}")
@@ -662,26 +660,13 @@ def appendix_grid(big_r: float, nu: float, grid_steps: int) -> GridOptimum:
 
     n = int(grid_steps)
     thetas = np.linspace(0.0, 1.0, n + 1)
-    frac_a = np.arange(1, n + 1, dtype=np.float64) / n  # (0, 1], excludes h = 0
-    frac_b = np.linspace(0.0, 1.0, n + 1)
-
-    def h_a(theta, cols):
-        return (theta / big_r) * frac_a[cols]
-
-    def f_a(theta, h):
-        return (nu * h) ** 2 - 2.0 * ((1.0 - theta) * nu + theta * nu**2 / (2.0 * big_r)) * h + 1.0
-
-    def h_b(theta, cols):
-        lo = theta / big_r
-        return lo + (4.0 / big_r - lo) * frac_b[cols]
-
-    def f_b(theta, h):
-        return (2.0 * big_r * h) ** 2 - 2.0 * (2.0 * theta * big_r + (1.0 - theta) * nu) * h + 1.0
-
-    th_a = thetas[1:]  # case A leaves out theta = 0
-    best_a = _grid_case(th_a, n, h_a, f_a, (1.0 - th_a) / nu + th_a / (2.0 * big_r))
-    vertex_b = (2.0 * thetas * big_r + (1.0 - thetas) * nu) / (4.0 * big_r**2)
-    best_b = _grid_case(thetas, n + 1, h_b, f_b, vertex_b)
+    th = thetas[1:]  # case A leaves out theta = 0 and h = 0
+    frac_a = np.arange(1, n + 1, dtype=np.float64) / n
+    best_a = _grid_case(th, np.zeros(n), th / big_r, frac_a, nu,
+                        (1.0 - th) * nu + th * nu**2 / (2.0 * big_r))
+    lo = thetas / big_r
+    best_b = _grid_case(thetas, lo, 4.0 / big_r - lo, np.linspace(0.0, 1.0, n + 1), 2.0 * big_r,
+                        2.0 * thetas * big_r + (1.0 - thetas) * nu)
     if best_a[0] <= best_b[0]:
         min_value, theta_star, h_star = best_a
     else:

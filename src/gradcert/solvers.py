@@ -104,11 +104,10 @@ class SolverTrace:
     ``dist_to_sol`` is present only when the oracle has a projection;
     ``iterates`` only when the run kept them. ``reset_event`` marks epoch
     boundaries ("restart") and adaptive reactions ("restart"/"skip").
-    ``n_evals`` is the number of ``oracle.eval`` calls the run made, so gd
-    stops counting once it reaches a floating-point fixed point, whose later
-    records it repeats without calling the oracle (see `run_solver`); it is
-    None for traces not produced by a solver run (hand-built or read back
-    with `load_trace_csv`).
+    ``n_evals`` is the number of ``oracle.eval`` calls the run made (gd
+    makes none after reaching a fixed point; see `run_solver`); it is None
+    for traces not produced by a solver run (hand-built or read back with
+    `load_trace_csv`).
     """
 
     f: np.ndarray
@@ -231,15 +230,11 @@ class _TraceBuilder:
         if self.callback is not None:
             self.callback(k, x, float(fv), g)
 
-    def repeat(self, x: np.ndarray, fv: float, g: np.ndarray, count: int) -> None:
-        """Append ``count`` copies of the record just pushed for ``x``.
-
-        Each copy is what `push` would record for a point of the same
-        content: the same value, gradient norm and distance, a "none" event,
-        its own iterate copy, and one callback call with the next k.
-        """
-        k = len(self.f)
-        self.f.extend([self.f[-1]] * count)
+    def repeat(self, x: np.ndarray, g: np.ndarray, count: int) -> None:
+        """Append ``count`` repeats of the record just pushed for ``x``, each
+        as `push` records it: values, a "none" event, a copy and a callback."""
+        k, fv = len(self.f), self.f[-1]
+        self.f.extend([fv] * count)
         self.grad_norm.extend([self.grad_norm[-1]] * count)
         if self.dist is not None:
             self.dist.extend([self.dist[-1]] * count)
@@ -247,7 +242,6 @@ class _TraceBuilder:
         if self.iterates is not None:
             self.iterates.extend(x.copy() for _ in range(count))
         if self.callback is not None:
-            fv = float(fv)
             for i in range(k, k + count):
                 self.callback(i, x, fv, g)
 
@@ -293,13 +287,12 @@ def run_solver(
       "skip" only zeroes the weight, leaving theta untouched.
 
     Whenever beta is 0, y^(k+1) is x^(k+1) itself and its gradient is reused,
-    so gd makes one oracle call per iteration until it reaches a
-    floating-point fixed point: once x^(k+1) has the same content (bytes) as
-    x^(k), every later iterate repeats it, since ``oracle.eval`` is a
-    deterministic function of its point's content. gd then records the
-    remaining records up to ``cfg.max_iters`` without calling the oracle and
-    stops with status "max_iters"; every field but ``n_evals`` is what the
-    full loop would record. Otherwise y^(k+1) comes from
+    so gd makes one oracle call per iteration until x^(k+1) has the same
+    content (bytes) as x^(k). Every later iterate repeats it, since
+    ``oracle.eval`` is a deterministic function of its point's content, so
+    gd records them up to ``cfg.max_iters`` without calling the oracle and
+    stops with status "max_iters"; only ``n_evals`` differs from a full
+    loop's trace. Otherwise y^(k+1) comes from
     ``oracle.extrapolate(x^(k+1), x^(k), beta_{k+1})``, which is the formula
     above and lets an oracle prepare the evaluation of y^(k+1).
     """
@@ -374,7 +367,7 @@ def run_solver(
             break
         if gd and f_x == f_prev and gnorm == gnorm_prev and x_next.tobytes() == x.tobytes():
             # a fixed point: the stopping checks passed these same values
-            tb.repeat(x_next, f_x, g_x, max_iters - k)
+            tb.repeat(x_next, g_x, max_iters - k)
             break
         if beta == 0.0:
             y, g_y = x_next, g_x
