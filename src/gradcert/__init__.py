@@ -42,7 +42,6 @@ from .sparse_recovery import (
     RecoveryResult,
     SparseProblem,
     gen_sparse_problem,
-    lbreg_step,
     recover,
 )
 

@@ -165,20 +165,16 @@ def _sample_points(oracle: Objective, domain, n: int, seed: int) -> np.ndarray:
 
 
 def _eval_batch(oracle: Objective, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if oracle.eval_batch is not None:
-        vals, grads = oracle.eval_batch(pts)
-        return np.asarray(vals, dtype=np.float64), np.asarray(grads, dtype=np.float64)
-    vals = np.empty(pts.shape[0])
-    grads = np.empty_like(pts)
-    for i, p in enumerate(pts):
-        vals[i], grads[i] = oracle.eval(p)
-    return vals, grads
+    if oracle.eval_batch is None:
+        raise ValueError(f"certification needs eval_batch; oracle {oracle.name!r} has none")
+    vals, grads = oracle.eval_batch(pts)
+    return np.asarray(vals, dtype=np.float64), np.asarray(grads, dtype=np.float64)
 
 
 def _project_batch(oracle: Objective, pts: np.ndarray) -> np.ndarray:
     prj = np.asarray(oracle.project(pts), dtype=np.float64)
-    if prj.shape != pts.shape:  # projection that only handles single points
-        prj = np.stack([np.asarray(oracle.project(p), dtype=np.float64) for p in pts])
+    if prj.shape != pts.shape:
+        raise ValueError(f"projection of a {pts.shape} batch returned shape {prj.shape}")
     return prj
 
 
@@ -335,12 +331,6 @@ def _constant(oracle: Objective, *names: str) -> float:
     raise ValueError(f"oracle {oracle.name!r} lacks required constant {names[0]}")
 
 
-def _regrad(trace: SolverTrace, oracle: Objective) -> np.ndarray:
-    pts = np.stack(trace.iterates)
-    _, grads = _eval_batch(oracle, pts)
-    return grads
-
-
 def check_bounds(
     trace: SolverTrace, oracle: Objective, theorem_id: str, cfg: SolverConfig
 ) -> BoundReport:
@@ -403,7 +393,7 @@ def check_bounds(
         return _report(theorem_id, viol, ks[1:][valid], valid.size)
 
     if theorem_id == "thm2_converse":
-        nu_hat, viol, ks_used = _converse_data(trace, oracle, cfg.stepsize_h)[2:]
+        viol, ks_used = _converse_data(trace, oracle, cfg.stepsize_h)[3:]
         return _report(theorem_id, viol, ks_used, len(trace) - 1)
 
     if theorem_id == "thm4_accel":
@@ -440,28 +430,20 @@ def check_bounds(
         n_fit = fit.window[1] - fit.window[0] + 1
         return BoundReport(theorem_id, passed, fit.fitted_factor - 1.0, None, n_fit, 0)
 
-    if theorem_id == "lemma1_part2":
+    if theorem_id in ("lemma1_part2", "lemma2_combined"):
         _need(trace, oracle, dist=True, iterates=True)
         big_r = _constant(oracle, "R", "L")
-        grads = _regrad(trace, oracle)
         pts = np.stack(trace.iterates)
+        _, grads = _eval_batch(oracle, pts)
         prj = _project_batch(oracle, pts)
         inner = np.einsum("ij,ij->i", grads, pts - prj)
-        lhs = np.einsum("ij,ij->i", grads, grads) / (2.0 * big_r)
+        gg = np.einsum("ij,ij->i", grads, grads)
+        if theorem_id == "lemma1_part2":
+            lhs = gg / (2.0 * big_r)
+        else:
+            lhs = gg / (4.0 * big_r) + 0.5 * _constant(oracle, "nu") * r**2
         valid = r >= 1e-12
         return _report(theorem_id, _violations(lhs[valid], inner[valid]), ks[valid], ks.size)
-
-    if theorem_id == "lemma2_combined":
-        _need(trace, oracle, dist=True, iterates=True)
-        big_r = _constant(oracle, "R", "L")
-        nu = _constant(oracle, "nu")
-        grads = _regrad(trace, oracle)
-        pts = np.stack(trace.iterates)
-        prj = _project_batch(oracle, pts)
-        inner = np.einsum("ij,ij->i", grads, pts - prj)
-        combo = np.einsum("ij,ij->i", grads, grads) / (4.0 * big_r) + 0.5 * nu * r**2
-        valid = r >= 1e-12
-        return _report(theorem_id, _violations(combo[valid], inner[valid]), ks[valid], ks.size)
 
     # lemma3_growth
     _need(trace, oracle, dist=True, gap=True)

@@ -17,7 +17,6 @@ Oracle ids: "f1", "f2", "f3:beta=<v>", "quad:m=<m>,n=<n>,seed=<s>",
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -48,6 +47,8 @@ def oracle_from_id(oracle_id: str) -> Objective:
             key, eq, val = item.partition("=")
             if not eq:
                 raise ValueError(f"malformed oracle parameter {item!r} in {oracle_id!r}")
+            if key in kv:
+                raise ValueError(f"repeated oracle parameter {key!r} in {oracle_id!r}")
             kv[key] = val
     if name in ("f1", "f2"):
         if kv:
@@ -185,18 +186,6 @@ def write_svg_line_chart(path: Path, series: dict[str, np.ndarray], title: str) 
     _write_atomic(path, "\n".join(parts) + "\n")
 
 
-def _trace_to_text(trace) -> str:
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    return buf.getvalue()
-
-
-def _result_to_text(result) -> str:
-    buf = io.StringIO()
-    result.to_csv(buf)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -224,7 +213,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
     args.h = cfg.stepsize_h  # echo the resolved value
     trace = run_solver(oracle, _start_point(args, oracle.dim), cfg, keep_iterates=False)
     _echo_config(out, args)
-    _write_atomic(out / "trace.csv", _trace_to_text(trace))
+    _write_atomic(out / "trace.csv", trace.to_csv())
     if args.svg:
         series = {}
         if trace.f_star is not None:
@@ -272,7 +261,7 @@ def _cmd_verify(args: argparse.Namespace, out: Path) -> int:
     report = check_bounds(trace, oracle, args.theorem, cfg)
     _echo_config(out, args)
     _write_atomic(out / "report.jsonl", report.to_json() + "\n")
-    _write_atomic(out / "trace.csv", _trace_to_text(trace))
+    _write_atomic(out / "trace.csv", trace.to_csv())
     print(report.to_json())
     if trace.status == "diverged":
         return EXIT_NUMERIC
@@ -293,7 +282,7 @@ def _cmd_recover(args: argparse.Namespace, out: Path) -> int:
     h = None if args.h == "auto" else float(args.h)
     result = recover(problem, args.variant, h=h, max_iters=args.max_iters)
     _echo_config(out, args)
-    _write_atomic(out / "recovery.csv", _result_to_text(result))
+    _write_atomic(out / "recovery.csv", result.to_csv())
     summary = {
         "variant": result.variant,
         "iters": result.iters,

@@ -78,10 +78,11 @@ class Objective:
     """Differentiable objective with optional solution-set projection.
 
     ``eval(x) -> (f, grad)`` for a single point; ``eval_batch`` (optional)
-    takes an ``(s, dim)`` array and returns ``((s,), (s, dim))``. ``project``
-    (optional) maps a point, or an ``(s, dim)`` batch, to the nearest
-    minimizer. ``primal`` (optional, dual oracles only) maps a dual point
-    to its primal point. ``extrapolate(x_next, x, beta)`` returns the
+    takes an ``(s, dim)`` array and returns ``((s,), (s, dim))``; the
+    certify estimators and bound replays, and `finite_diff_check`, need it.
+    ``project`` (optional) maps a point, or an ``(s, dim)`` batch, to the
+    nearest minimizer. ``primal`` (optional, dual oracles only) maps a dual
+    point to its primal point. ``extrapolate(x_next, x, beta)`` returns the
     solvers' extrapolated point ``x_next + beta * (x_next - x)``; an oracle
     may replace it to prepare the evaluation of that point, but the point
     itself must be exactly that expression.
@@ -330,8 +331,8 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     m, n = A.shape
     if rhs.shape[0] != m:
         raise ValueError(f"matrix is {m}x{n} but b has length {rhs.shape[0]}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not A.any() or not rhs.any():
         raise ValueError("A and b must both be nonzero")
     gram = A @ A.T
@@ -437,32 +438,26 @@ def compose_constants(g_constants: KnownConstants, a, mode: str) -> KnownConstan
 def finite_diff_check(oracle: Objective, points) -> float:
     """Worst relative error between the oracle gradient and central differences.
 
-    Uses step ``1e-6 * (1 + ||x||)`` per coordinate. Callers are responsible
-    for keeping sample points away from gradient kinks (e.g. at least 1e-3
-    from any soft-threshold boundary).
+    Uses step ``1e-6 * (1 + ||x||)`` per coordinate, evaluating the 2 dim
+    perturbed points of each sample in one ``eval_batch`` call. Callers are
+    responsible for keeping sample points away from gradient kinks (e.g. at
+    least 1e-3 from any soft-threshold boundary).
     """
+    if oracle.eval_batch is None:
+        raise ValueError(f"finite_diff_check needs eval_batch; oracle {oracle.name!r} has none")
     worst = 0.0
+    idx = np.arange(oracle.dim)
     for p in points:
         x = as_vector(p)
         if x.shape[0] != oracle.dim:
             raise ValueError(f"point of dim {x.shape[0]} fed to oracle of dim {oracle.dim}")
         _, g = oracle.eval(x)
         h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        if oracle.eval_batch is not None:
-            pert = np.repeat(x[None, :], 2 * oracle.dim, axis=0)
-            idx = np.arange(oracle.dim)
-            pert[2 * idx, idx] += h
-            pert[2 * idx + 1, idx] -= h
-            vals, _ = oracle.eval_batch(pert)
-            fd = (vals[0::2] - vals[1::2]) / (2.0 * h)
-        else:
-            fd = np.empty(oracle.dim)
-            for i in range(oracle.dim):
-                step = np.zeros(oracle.dim)
-                step[i] = h
-                fp, _ = oracle.eval(x + step)
-                fm, _ = oracle.eval(x - step)
-                fd[i] = (fp - fm) / (2.0 * h)
+        pert = np.repeat(x[None, :], 2 * oracle.dim, axis=0)
+        pert[2 * idx, idx] += h
+        pert[2 * idx + 1, idx] -= h
+        vals, _ = oracle.eval_batch(pert)
+        fd = (vals[0::2] - vals[1::2]) / (2.0 * h)
         rel = float(np.linalg.norm(fd - g)) / max(1.0, float(np.linalg.norm(g)))
         worst = max(worst, rel)
     return worst

@@ -132,30 +132,21 @@ class SolverTrace:
             raise ValueError("objective gap needs a known f_star")
         return self.f - self.f_star
 
-    def to_csv(self, dest) -> None:
-        """Write columns k,f,fgap,grad_norm,dist_to_sol,reset_event."""
-        close = False
-        if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-            fh = open(dest, "w", encoding="ascii")
-            close = True
-        else:
-            fh = dest
-        try:
-            fh.write("k,f,fgap,grad_norm,dist_to_sol,reset_event\n")
-            for i in range(len(self)):
-                gap = "" if self.f_star is None else repr(float(self.f[i] - self.f_star))
-                dist = "" if self.dist_to_sol is None else repr(float(self.dist_to_sol[i]))
-                fh.write(
-                    f"{i},{float(self.f[i])!r},{gap},{float(self.grad_norm[i])!r},"
-                    f"{dist},{self.reset_event[i]}\n"
-                )
-        finally:
-            if close:
-                fh.close()
+    def to_csv(self) -> str:
+        """CSV text with columns k,f,fgap,grad_norm,dist_to_sol,reset_event."""
+        rows = ["k,f,fgap,grad_norm,dist_to_sol,reset_event\n"]
+        for i in range(len(self)):
+            gap = "" if self.f_star is None else repr(float(self.f[i] - self.f_star))
+            dist = "" if self.dist_to_sol is None else repr(float(self.dist_to_sol[i]))
+            rows.append(
+                f"{i},{float(self.f[i])!r},{gap},{float(self.grad_norm[i])!r},"
+                f"{dist},{self.reset_event[i]}\n"
+            )
+        return "".join(rows)
 
 
 def load_trace_csv(path) -> SolverTrace:
-    """Read a trace written by `SolverTrace.to_csv` (status is not stored)."""
+    """Read a trace CSV in the `SolverTrace.to_csv` format (status is not stored)."""
     f_vals: list[float] = []
     gaps: list[float | None] = []
     gn: list[float] = []

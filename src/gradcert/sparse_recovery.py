@@ -8,20 +8,20 @@ objective; the primal iterate falls out of each dual point y as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .numkit import GaussianStream, as_vector
-from .oracles import Objective, _augl1_point, make_augl1_dual
+from .numkit import GaussianStream
+from .oracles import Objective, make_augl1_dual
 from .solvers import SolverConfig, SolverTrace, run_solver
 
 __all__ = [
     "SparseProblem",
     "RecoveryResult",
     "gen_sparse_problem",
-    "lbreg_step",
     "recover",
     "RECOVERY_VARIANTS",
 ]
@@ -86,25 +86,16 @@ class RecoveryResult:
         hits = np.nonzero(self.rel_error_curve < rel_tol)[0]
         return int(hits[0]) if hits.size else None
 
-    def to_csv(self, dest) -> None:
-        """Write columns k,rel_error,primal_residual,reset_event."""
-        close = False
-        if isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__"):
-            fh = open(dest, "w", encoding="ascii")
-            close = True
-        else:
-            fh = dest
-        try:
-            fh.write("k,rel_error,primal_residual,reset_event\n")
-            for i in range(self.iters):
-                rel = "" if self.rel_error_curve is None else repr(float(self.rel_error_curve[i]))
-                fh.write(
-                    f"{i},{rel},{float(self.primal_residual_curve[i])!r},"
-                    f"{self.dual_trace.reset_event[i]}\n"
-                )
-        finally:
-            if close:
-                fh.close()
+    def to_csv(self) -> str:
+        """CSV text with columns k,rel_error,primal_residual,reset_event."""
+        rows = ["k,rel_error,primal_residual,reset_event\n"]
+        for i in range(self.iters):
+            rel = "" if self.rel_error_curve is None else repr(float(self.rel_error_curve[i]))
+            rows.append(
+                f"{i},{rel},{float(self.primal_residual_curve[i])!r},"
+                f"{self.dual_trace.reset_event[i]}\n"
+            )
+        return "".join(rows)
 
 
 def gen_sparse_problem(
@@ -124,8 +115,8 @@ def gen_sparse_problem(
     draw of A, which is then stored column-major (same values). The returned
     arrays are read-only.
     """
-    if not m < n:
-        raise ValueError(f"need m < n, got m = {m}, n = {n}")
+    if not 1 <= m < n:
+        raise ValueError(f"need 1 <= m < n, got m = {m}, n = {n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k = {k}")
     if signal not in ("gaussian", "pm_one"):
@@ -142,29 +133,13 @@ def gen_sparse_problem(
     if alpha is None:
         peak = float(np.max(np.abs(x_true))) if k else 0.0
         alpha = 10.0 * peak if peak > 0 else 1.0
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     b = A @ x_true
     A = np.asfortranarray(A)
     for arr in (A, b, x_true):
         arr.setflags(write=False)
     return SparseProblem(A=A, b=b, x_true=x_true, alpha=float(alpha), seed=int(seed))
-
-
-def lbreg_step(problem: SparseProblem, y, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """One linearized Bregman iteration on the dual variable.
-
-        x_next = alpha * shrink_1(A^T y)
-        y_next = y + h (b - A x_next)
-
-    ``A x_next - b`` is computed as the dual oracle computes its gradient,
-    so this is bit for bit a gradient step on ``problem.dual``.
-    """
-    yv = as_vector(y)
-    if yv.shape[0] != problem.m:
-        raise ValueError(f"dual variable has dim {yv.shape[0]}, expected {problem.m}")
-    _, x_next, resid = _augl1_point(problem.A, problem.b, problem.alpha, problem.A.T @ yv)
-    return x_next, yv - h * resid
 
 
 def _degenerate_result(problem: SparseProblem, variant: str) -> RecoveryResult:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,7 @@ from gradcert.certify import (
     fit_rate,
 )
 from gradcert.numkit import GaussianStream
-from gradcert.oracles import make_example_1d, make_quadratic_composite
+from gradcert.oracles import KnownConstants, Objective, make_example_1d, make_quadratic_composite
 from gradcert.solvers import SolverConfig, SolverTrace, run_solver
 from conftest import seeded_quad
 
@@ -216,6 +217,52 @@ def test_lemma_checks_pass_on_trace(quad_20x50):
     for tid in ("lemma1_part2", "lemma2_combined", "lemma3_growth"):
         report = check_bounds(tr, quad_20x50, tid, cfg)
         assert report.passed, tid
+
+
+def scaled_square(c):
+    """f(x) = (c/2)||x||^2 in 2-D, with R = L = nu = c and minimizer 0."""
+    return Objective(
+        dim=2,
+        eval=lambda x: (0.5 * c * float(x.dot(x)), c * x),
+        eval_batch=lambda xs: (0.5 * c * np.einsum("ij,ij->i", xs, xs), c * xs),
+        project=np.zeros_like,
+        constants=KnownConstants(R=c, L=c, nu=c),
+        f_star=0.0,
+        name="scaled_square",
+    )
+
+
+def test_lemma_checks_pin_their_constants():
+    # on (c/2)||x||^2, <g, x> = c r^2 and ||g||^2 = c^2 r^2, so the scale-free
+    # violations are exactly 1/2 - 1 (lemma1, 1/(2R)) and 3/4 - 1 (lemma2, 1/(4R))
+    oracle = scaled_square(4.0)
+    tr, cfg = run_gd(oracle, 1.0 / 8.0, 20, x0=np.array([3.0, -1.0]))
+    for tid, want in (("lemma1_part2", -0.5), ("lemma2_combined", -0.25)):
+        report = check_bounds(tr, oracle, tid, cfg)
+        assert report.passed and report.n_checked == len(tr), tid
+        assert report.max_violation == pytest.approx(want, rel=1e-12), tid
+
+
+def test_certify_needs_eval_batch():
+    oracle = dataclasses.replace(scaled_square(1.0), eval_batch=None)
+    box = (-1.0, 1.0)
+    with pytest.raises(ValueError, match="eval_batch"):
+        estimate_rsi(oracle, box, 100)
+    with pytest.raises(ValueError, match="eval_batch"):
+        estimate_rlg(oracle, box, 100)
+    tr, cfg = run_gd(oracle, 0.5, 5, x0=np.ones(2))
+    with pytest.raises(ValueError, match="eval_batch"):
+        check_bounds(tr, oracle, "lemma1_part2", cfg)
+
+
+def test_batch_projection_must_keep_the_batch_shape():
+    # one point back for a whole batch would broadcast in x - x_prj unnoticed
+    oracle = dataclasses.replace(scaled_square(1.0), project=lambda p: np.zeros(2))
+    with pytest.raises(ValueError, match="projection"):
+        estimate_rsi(oracle, (-1.0, 1.0), 100)
+    tr, cfg = run_gd(oracle, 0.5, 5, x0=np.ones(2))
+    with pytest.raises(ValueError, match="projection"):
+        check_bounds(tr, oracle, "lemma2_combined", cfg)
 
 
 def test_gap_dominated_by_distance_bound(quad_20x50):

@@ -34,6 +34,11 @@ def test_oracle_from_id_rejects_malformed():
     for bad in ("f9", "f3", "quad:m=3", "quad:m=3,n=6,seed=1,zap=2", "f1:x=1"):
         with pytest.raises(ValueError):
             oracle_from_id(bad)
+    # a repeated key would silently override its first value
+    with pytest.raises(ValueError, match="repeated oracle parameter 'm'"):
+        oracle_from_id("quad:m=20,n=50,seed=1,m=30")
+    with pytest.raises(ValueError, match="repeated oracle parameter 'beta'"):
+        oracle_from_id("f3:beta=1.0,beta=2.0")
 
 
 def test_resolve_stepsize_rules():
@@ -68,6 +73,30 @@ def test_solve_rejects_nan_grad_tol(tmp_path, capsys):
     assert code == 2
     assert "grad_tol" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
+
+
+def test_solve_rejects_repeated_oracle_parameter(tmp_path, capsys):
+    code = run_cli("solve", "--oracle", "quad:m=20,n=50,seed=1,m=30", "--max-iters", "10",
+                   "--out", str(tmp_path))
+    assert code == 2
+    assert "'m'" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        (("--m", "0", "--n", "10", "--k", "2"), "1 <= m"),
+        (("--m", "20", "--n", "40", "--k", "0", "--alpha", "nan"), "alpha must be finite"),
+        (("--m", "20", "--n", "40", "--k", "3", "--alpha", "nan"), "alpha must be finite"),
+        (("--m", "20", "--n", "40", "--k", "3", "--alpha", "inf"), "alpha must be finite"),
+    ],
+)
+def test_recover_rejects_bad_problem(tmp_path, capsys, extra, field):
+    code = run_cli("recover", *extra, "--out", str(tmp_path))
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_solve_writes_artifacts_and_reproduces(tmp_path):
@@ -118,7 +147,7 @@ def test_rates_on_synthetic_trace(tmp_path):
         f_star=0.0,
     )
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    path.write_text(trace.to_csv(), encoding="ascii")
     out = tmp_path / "r"
     assert run_cli("rates", "--input", str(path), "--model", "linear_geometric",
                    "--window", "0", "49", "--out", str(out)) == 0

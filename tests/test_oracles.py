@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -266,6 +267,12 @@ def test_finite_diff_f3_smooth_and_flat():
     f3 = make_example_1d("f3", beta=1.0)
     assert finite_diff_check(f3, [np.array([5.0])]) < 1e-7
     assert finite_diff_check(f3, [np.array([0.0])]) < 1e-10
+
+
+def test_finite_diff_needs_eval_batch(quad_20x50):
+    oracle = dataclasses.replace(quad_20x50, eval_batch=None)
+    with pytest.raises(ValueError, match="eval_batch"):
+        finite_diff_check(oracle, [np.zeros(50)])
 
 
 def test_finite_diff_zoo_kink_avoiding():

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 from decimal import Decimal, getcontext
 
@@ -10,6 +9,7 @@ from gradcert.numkit import GaussianStream
 from gradcert.oracles import Objective, make_example_1d, make_quadratic_composite
 from gradcert.solvers import (
     SolverConfig,
+    SolverTrace,
     load_trace_csv,
     run_solver,
     theta_step,
@@ -355,7 +355,7 @@ def test_trace_csv_roundtrip(tmp_path, quad_20x50):
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=30, variant="gd")
     tr = run_solver(quad_20x50, np.ones(50), cfg)
     path = tmp_path / "trace.csv"
-    tr.to_csv(path)
+    path.write_text(tr.to_csv(), encoding="ascii")
     back = load_trace_csv(path)
     assert np.array_equal(back.f, tr.f)
     assert np.array_equal(back.grad_norm, tr.grad_norm)
@@ -375,12 +375,33 @@ def test_trace_csv_header_and_blanks():
     dual = make_augl1_dual(a, a @ np.ones(8), 2.0)
     cfg = SolverConfig(stepsize_h=1.0 / dual.constants.L, max_iters=5, variant="gd")
     tr = run_solver(dual, np.zeros(3), cfg)
-    buf = io.StringIO()
-    tr.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = tr.to_csv().splitlines()
     assert lines[0] == "k,f,fgap,grad_norm,dist_to_sol,reset_event"
     first = lines[1].split(",")
     assert first[2] == "" and first[4] == ""  # fgap and dist blank
+
+
+def test_trace_csv_text_is_pinned():
+    def trace(f_star, dist):
+        return SolverTrace(
+            f=np.array([1.5, 0.1]),
+            grad_norm=np.array([2.0, 1 / 3]),
+            dist_to_sol=dist,
+            reset_event=("none", "restart"),
+            status="max_iters",
+            f_star=f_star,
+        )
+
+    assert trace(0.5, np.array([3.0, 1e-20])).to_csv() == (
+        "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
+        "0,1.5,1.0,2.0,3.0,none\n"
+        "1,0.1,-0.4,0.3333333333333333,1e-20,restart\n"
+    )
+    assert trace(None, None).to_csv() == (
+        "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
+        "0,1.5,,2.0,,none\n"
+        "1,0.1,,0.3333333333333333,,restart\n"
+    )
 
 
 def test_callback_sees_every_record(quad_20x50):

@@ -1,5 +1,5 @@
 import dataclasses
-import io
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +7,32 @@ import pytest
 from gradcert import oracles, sparse_recovery
 from gradcert.certify import fit_rate
 from gradcert.numkit import GaussianStream
-from gradcert.solvers import SolverTrace
-from gradcert.sparse_recovery import RECOVERY_VARIANTS, gen_sparse_problem, lbreg_step, recover
-from gradcert.oracles import shrink
+from gradcert.solvers import SolverConfig, SolverTrace, run_solver
+from gradcert.sparse_recovery import (
+    RECOVERY_VARIANTS,
+    RecoveryResult,
+    SparseProblem,
+    gen_sparse_problem,
+    recover,
+)
+from gradcert.oracles import make_augl1_dual, shrink
 
 
 def small_problem(seed=3, m=30, n=60, k=4, signal="pm_one"):
     return gen_sparse_problem(seed, m, n, k, signal)
+
+
+def lbreg_step(problem, y, h):
+    """Textbook linearized Bregman iteration: x = alpha shrink_1(A^T y), y + h (b - A x)."""
+    x_next = problem.alpha * shrink(problem.A.T @ y, 1.0)
+    return x_next, y + h * (problem.b - problem.A @ x_next)
+
+
+def gd_step(problem, y, h):
+    """One `run_solver` gradient step on the problem's dual: (x(y), y_next)."""
+    cfg = SolverConfig(stepsize_h=h, max_iters=1, variant="gd")
+    tr = run_solver(problem.dual, np.asarray(y, dtype=np.float64), cfg)
+    return problem.dual.primal(tr.iterates[0]), tr.iterates[1]
 
 
 def test_shrink_hand_values():
@@ -75,22 +94,42 @@ def test_gen_validation():
         gen_sparse_problem(1, 30, 60, 5, "bernoulli")
 
 
+def test_gen_rejects_no_measurements():
+    # with no rows b is empty, and recover would report a zero signal as found
+    with pytest.raises(ValueError, match="m"):
+        gen_sparse_problem(1, 0, 10, 2)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_nonfinite_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        gen_sparse_problem(1, 20, 40, 0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        gen_sparse_problem(1, 20, 40, 3, alpha=alpha)
+    a = GaussianStream(2).normal((3, 7))
+    with pytest.raises(ValueError, match="alpha"):
+        make_augl1_dual(a, a @ np.ones(7), alpha)
+
+
 def test_lbreg_step_from_zero():
     p = small_problem()
-    x_next, y_next = lbreg_step(p, np.zeros(p.m), 0.25)
-    assert not x_next.any()
-    assert np.array_equal(y_next, 0.25 * p.b)
+    for x_next, y_next in (lbreg_step(p, np.zeros(p.m), 0.25), gd_step(p, np.zeros(p.m), 0.25)):
+        assert not x_next.any()
+        assert np.array_equal(y_next, 0.25 * p.b)
 
 
 def test_lbreg_fixed_point_hand_case():
-    from gradcert.sparse_recovery import SparseProblem
-
     p = SparseProblem(
         A=np.array([[2.0]]), b=np.array([2.0]), x_true=np.array([1.0]), alpha=1.0, seed=0
     )
     x_next, y_next = lbreg_step(p, np.array([1.0]), 0.25)
     assert np.array_equal(x_next, [1.0])
     assert np.array_equal(y_next, [1.0])
+    # the dual gradient vanishes exactly there, so gd stops at its start point
+    cfg = SolverConfig(stepsize_h=0.25, max_iters=1, variant="gd")
+    tr = run_solver(p.dual, np.array([1.0]), cfg)
+    assert tr.status == "tol_reached" and tr.grad_norm[0] == 0.0
+    assert np.array_equal(p.dual.primal(tr.iterates[0]), [1.0])
 
 
 def test_gen_arrays_are_read_only():
@@ -110,13 +149,18 @@ def test_gen_matrix_is_column_major_and_read_only():
 
 
 def test_lbreg_step_equals_dual_gradient_step():
+    # the textbook formula sums A x in another order than the dual oracle's
+    # support form, so the two agree to rounding, not bit for bit
     p = small_problem()
-    dual = p.dual
     y = GaussianStream(9).normal(p.m)
     h = 0.01
-    _, y_next = lbreg_step(p, y, h)
-    _, g = dual.eval(y)
-    assert np.array_equal(y_next, y - h * g)
+    _, g = p.dual.eval(y)
+    tol = 1e-12 * (1 + np.linalg.norm(g))
+    x_ref, y_ref = lbreg_step(p, y, h)
+    x_gd, y_gd = gd_step(p, y, h)
+    assert np.count_nonzero(x_ref) > 0  # the step is not the trivial zero-primal one
+    assert np.linalg.norm(x_gd - x_ref) <= tol
+    assert np.linalg.norm(y_gd - y_ref) <= tol
 
 
 @pytest.mark.parametrize("variant", ["gd", "nesterov", "restart", "skip"])
@@ -192,14 +236,34 @@ def test_recover_primal_error_geometric_envelope():
 
 def test_recovery_csv_schema():
     res = recover(small_problem(), "restart", max_iters=50_000)
-    buf = io.StringIO()
-    res.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+    lines = res.to_csv().splitlines()
     assert lines[0] == "k,rel_error,primal_residual,reset_event"
     assert len(lines) == res.iters + 1
     row = lines[1].split(",")
     assert row[0] == "0" and row[3] == "none"
     assert any(line.split(",")[3] == "restart" for line in lines[1:])
+
+
+def test_recovery_csv_text_is_pinned():
+    trace = SolverTrace(
+        f=np.zeros(2),
+        grad_norm=np.array([2.0, 0.1]),
+        dist_to_sol=None,
+        reset_event=("none", "skip"),
+        status="max_iters",
+    )
+
+    def result(rel):
+        return RecoveryResult(np.zeros(3), rel, np.array([2.0, 0.1]), 2, "skip", trace)
+
+    assert result(np.array([1.0, 1 / 3])).to_csv() == (
+        "k,rel_error,primal_residual,reset_event\n"
+        "0,1.0,2.0,none\n"
+        "1,0.3333333333333333,0.1,skip\n"
+    )
+    assert result(None).to_csv() == (
+        "k,rel_error,primal_residual,reset_event\n0,,2.0,none\n1,,0.1,skip\n"
+    )
 
 
 def test_recover_custom_stepsize_still_converges():
