@@ -75,14 +75,6 @@ def test_solve_rejects_nan_grad_tol(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
-def test_solve_rejects_repeated_oracle_parameter(tmp_path, capsys):
-    code = run_cli("solve", "--oracle", "quad:m=20,n=50,seed=1,m=30", "--max-iters", "10",
-                   "--out", str(tmp_path))
-    assert code == 2
-    assert "'m'" in capsys.readouterr().err
-    assert not (tmp_path / "trace.csv").exists()
-
-
 @pytest.mark.parametrize(
     "extra, field",
     [

@@ -31,7 +31,7 @@ def lbreg_step(problem, y, h):
 def gd_step(problem, y, h):
     """One `run_solver` gradient step on the problem's dual: (x(y), y_next)."""
     cfg = SolverConfig(stepsize_h=h, max_iters=1, variant="gd")
-    tr = run_solver(problem.dual, np.asarray(y, dtype=np.float64), cfg)
+    tr = run_solver(problem.dual, y, cfg)
     return problem.dual.primal(tr.iterates[0]), tr.iterates[1]
 
 
@@ -96,7 +96,7 @@ def test_gen_validation():
 
 def test_gen_rejects_no_measurements():
     # with no rows b is empty, and recover would report a zero signal as found
-    with pytest.raises(ValueError, match="m"):
+    with pytest.raises(ValueError, match="1 <= m"):
         gen_sparse_problem(1, 0, 10, 2)
 
 
