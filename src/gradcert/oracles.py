@@ -46,8 +46,8 @@ _SQRT2 = math.sqrt(2.0)
 
 def shrink(x, beta: float) -> np.ndarray:
     """Elementwise soft-threshold: sign(x) * max(|x| - beta, 0)."""
-    if beta <= 0:
-        raise ValueError(f"shrink threshold must be positive, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"shrink threshold beta must be finite and positive, got {beta}")
     a = np.asarray(x, dtype=np.float64)
     return np.sign(a) * np.maximum(np.abs(a) - beta, 0.0)
 
@@ -185,7 +185,7 @@ def _make_1d(kernel, project, constants: KnownConstants, name: str) -> Objective
 
 
 def make_example_1d(fid: str, beta: float | None = None) -> Objective:
-    """One of the three 1-D examples: "f1", "f2", or "f3" (needs beta > 0).
+    """One of the three 1-D examples: "f1", "f2", or "f3" (needs finite beta > 0).
 
     f1 and f2 are non-convex with minimizer set (-inf, 0]; their gradients
     satisfy the secant inequality with nu = 2/(4 - sqrt(2)) and
@@ -209,8 +209,8 @@ def make_example_1d(fid: str, beta: float | None = None) -> Objective:
             "f2",
         )
     if fid == "f3":
-        if beta is None or beta <= 0:
-            raise ValueError(f"f3 requires beta > 0, got {beta}")
+        if beta is None or not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"f3 requires a finite beta > 0, got {beta}")
         b = float(beta)
 
         def kernel(x):
@@ -254,8 +254,14 @@ def make_quadratic_composite(a, b) -> Objective:
     # fixed projector onto {x : Ax = b}: A^T (A A^T)^{-1}, built once
     proj = A.T @ cholesky_solve(chol, np.eye(m))
 
+    last = None  # (point, A point) of the latest eval at a 1-D point
+
     def eval_one(x):
-        r = A @ x - rhs
+        nonlocal last
+        x = np.asarray(x, dtype=np.float64)
+        ax = A @ x
+        r = ax - rhs
+        last = (x.tobytes(), ax) if x.ndim == 1 else None
         return 0.5 * float(r @ r), A.T @ r
 
     def eval_batch(xs):
@@ -265,7 +271,9 @@ def make_quadratic_composite(a, b) -> Objective:
     def project(x):
         pts = np.asarray(x, dtype=np.float64)
         if pts.ndim == 1:
-            return pts + proj @ (rhs - A @ pts)
+            seen = last
+            ax = seen[1] if seen is not None and seen[0] == pts.tobytes() else A @ pts
+            return pts + proj @ (rhs - ax)
         return pts + (rhs - pts @ A.T) @ proj.T
 
     return Objective(
@@ -279,21 +287,22 @@ def make_quadratic_composite(a, b) -> Objective:
     )
 
 
-def _augl1_point(A: np.ndarray, rhs: np.ndarray, alpha: float, z: np.ndarray):
+def _augl1_point(block_of, rhs: np.ndarray, alpha: float, z: np.ndarray):
     """``(shrink_1(z)[S], x, A x - b)`` with ``x = alpha * shrink_1(z)``, for z = A^T y.
 
     S is the support of ``shrink_1(z)``, where ``|z| - 1 > 0`` or is NaN;
     there the entries are ``+-(|z| - 1)``, the bits `shrink` computes,
     elsewhere zero. A NaN or infinite entry of z thus reaches ``A x - b``.
-    ``A x`` is ``A[:, S] @ x[S]``, a product with the support columns only.
+    ``A x`` is ``block_of(S) @ x[S]``, a product with the support columns
+    ``A[:, S]`` only.
     """
     u = np.abs(z) - 1.0
-    S = np.flatnonzero(~(u <= 0.0))
+    S = (~(u <= 0.0)).nonzero()[0]
     s = np.copysign(u[S], z[S])
     xs = alpha * s
-    x = np.zeros(A.shape[1])
+    x = np.zeros(z.shape[0])
     x[S] = xs
-    return s, x, A[:, S] @ xs - rhs
+    return s, x, block_of(S) @ xs - rhs
 
 
 def make_augl1_dual(a, b, alpha: float) -> Objective:
@@ -341,6 +350,14 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     products: list[tuple[bytes, np.ndarray]] = []  # (point, A^T point) of the two latest products
     pending = None  # (point, image) formed by extrapolate, for the next eval only
     last = None  # (point, x(point)) of the latest eval
+    block = None  # (support, A[:, support]) of the latest eval
+
+    def block_of(S):
+        nonlocal block
+        key = S.tobytes()
+        if block is None or block[0] != key:
+            block = (key, A[:, S])
+        return block[1]
 
     def image_of(key):
         for seen, z in products:
@@ -360,7 +377,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
             if len(products) > 2:
                 del products[0]
         pending = None
-        s, primal, grad = _augl1_point(A, rhs, alpha, z)
+        s, primal, grad = _augl1_point(block_of, rhs, alpha, z)
         last = (key, primal)
         return 0.5 * alpha * float(s.dot(s)) - float(rhs.dot(y)), grad
 

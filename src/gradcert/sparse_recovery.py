@@ -206,13 +206,14 @@ def recover(
     rel_curve: list[float] | None = [] if x_norm > 0 else None
     last_primal = np.zeros(problem.n)
 
-    primal_of = oracle.primal
+    primal_of, x_true = oracle.primal, problem.x_true
 
     def observe(_k: int, y: np.ndarray, _f: float, _g: np.ndarray) -> None:
         nonlocal last_primal
         last_primal = primal_of(y)  # the oracle's array: read, never written
         if rel_curve is not None:
-            rel_curve.append(float(np.linalg.norm(last_primal - problem.x_true)) / x_norm)
+            d = last_primal - x_true
+            rel_curve.append(math.sqrt(d.dot(d)) / x_norm)  # as np.linalg.norm computes it
 
     trace = run_solver(oracle, np.zeros(problem.m), cfg, callback=observe, keep_iterates=False)
     return RecoveryResult(

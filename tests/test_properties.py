@@ -166,7 +166,7 @@ _EDGES = _FINITE_EDGES + [np.nan, np.inf, -np.inf]
 def test_support_form_shrink_is_bitwise_shrink(values):
     z = np.array(values)
     with np.errstate(invalid="ignore"):  # inf * 0 in A x on non-finite z
-        s, x, resid = _augl1_point(np.eye(z.size), np.zeros(z.size), 1.0, z)
+        s, x, resid = _augl1_point(lambda S: np.eye(z.size)[:, S], np.zeros(z.size), 1.0, z)
     # shrink writes -0.0 below the threshold where the support form leaves
     # +0.0; adding 0.0 maps both to +0.0 and changes no other bit
     assert x.tobytes() == (shrink(z, 1.0) + 0.0).tobytes()
