@@ -91,7 +91,10 @@ class Objective:
     point's content (its bytes), except at a point that ``extrapolate`` has
     just prepared. Gradient descent never extrapolates, and `run_solver`
     relies on this when a gradient step leaves its point unchanged: it
-    records the rest of the run without calling the oracle again.
+    records the rest of the run without calling the oracle again. An oracle
+    may reuse what its latest ``eval`` computed, keyed by point content, if
+    the result keeps the bits of a fresh computation: the quad projects the
+    point it has just evaluated from that evaluation's product ``A x``.
     """
 
     dim: int
@@ -236,6 +239,11 @@ def make_quadratic_composite(a, b) -> Objective:
     The minimizer set is the affine solution set of ``Ax = b``; projection
     onto it is ``x + A^T (A A^T)^{-1} (b - Ax)``. Constants follow from the
     composition rules: ``L = R = ||A||^2`` and ``nu = lambda_min(A A^T)``.
+
+    ``eval`` keeps the product ``A x`` of its point together with the
+    point's content, so ``project`` of that same 1-D point takes ``A x``
+    from there instead of a second product; the result has the bits of a
+    fresh projection. Any other point, and any batch, is projected afresh.
     """
     A = as_matrix(a)
     rhs = as_vector(b)
@@ -315,10 +323,13 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     ``L = alpha * lambda_max(A A^T)`` is known (from LAPACK); the solution
     set has no closed form, so there is no projection and no f_star.
 
-    ``A x(y)`` is a product with the columns of A on the support of x(y)
+    ``A x(y)`` is a product with the columns of A on the support S of x(y)
     only, which is contiguous when A is column-major (as
-    `gen_sparse_problem` stores it). The matrix is used as given, never
-    copied.
+    `gen_sparse_problem` stores it). The matrix is used as given; the
+    gathered block ``A[:, S]`` is kept and gathered again only when the
+    content of S changes, so the oracle holds at most m x |S| more floats.
+    The kept block has the values and layout of a fresh gather, so the
+    product keeps its bits.
 
     ``extrapolate(x_next, x, beta)`` returns ``x_next + beta * (x_next - x)``
     and, when ``A^T x_next`` and ``A^T x`` are the images of the two latest

@@ -91,6 +91,21 @@ def test_recover_rejects_bad_problem(tmp_path, capsys, extra, field):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--oracle", "f3:beta=nan", "--which", "rsi", "--box", "-1", "1",
+         "--samples", "200"),
+        ("solve", "--oracle", "f3:beta=inf", "--variant", "gd", "--h", "auto",
+         "--max-iters", "10"),
+    ],
+)
+def test_non_finite_f3_beta_is_usage_error(tmp_path, capsys, argv):
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    assert "beta" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_writes_artifacts_and_reproduces(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["solve", "--oracle", "quad:m=10,n=25,seed=7", "--variant", "gd",

@@ -46,6 +46,14 @@ def test_f3_rejects_bad_beta():
         make_example_1d("f3")
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_shrink_and_f3_reject_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        shrink(np.ones(3), beta)
+    with pytest.raises(ValueError, match="beta"):
+        make_example_1d("f3", beta=beta)
+
+
 def test_f1_f2_constants():
     assert make_example_1d("f1").constants.nu == pytest.approx(F1_NU, rel=1e-15)
     assert make_example_1d("f2").constants.nu == pytest.approx(F2_NU, rel=1e-15)
@@ -152,6 +160,16 @@ def test_projection_idempotent_quad():
     for row in prj[::10]:
         fx, g = quad.eval(row)
         assert np.linalg.norm(g) <= 1e-9
+
+
+def test_quad_projection_after_eval_keeps_negative_zeros():
+    # x = -0.0 solves A x = 0 exactly, so the correction is an exact zero and
+    # x + 0.0 is +0.0; the point just evaluated must get those same bits
+    a = GaussianStream(5).normal((3, 6))
+    quad, fresh = make_quadratic_composite(a, np.zeros(3)), make_quadratic_composite(a, np.zeros(3))
+    x = np.full(6, -0.0)
+    quad.eval(x)
+    assert quad.project(x).tobytes() == fresh.project(x).tobytes()
 
 
 def test_quad_identity_case():

@@ -6,8 +6,11 @@ bound must hold with that nu at every point. The dual oracle's ``primal``
 must return ``alpha * shrink_1(A^T y)`` bit for bit, whatever point its
 memo holds; its evaluation at an extrapolated point, from an image formed
 by linearity, must match a fresh product to rounding, and must be a fresh
-product whenever a point changed after its evaluation. The support form of
-the shrink must be bitwise `shrink`, which must not expand distances. Gradient
+product whenever a point changed after its evaluation. Along a walk whose
+support holds, changes size or changes content, the dual's evaluations must
+be a fresh oracle's bit for bit, and so must the quad's projection of the
+point it just evaluated. The support form of the shrink must be bitwise
+`shrink`, which must not expand distances. Gradient
 descent and Nesterov's scheme must match plain in-test loops bit for bit;
 the dampening sequence must satisfy its recursion; ``check_bounds``
 must place an injected violation at the right iteration; and
@@ -74,6 +77,23 @@ def test_quad_secant_and_growth_with_lambda_min(case):
     assert float(g @ d) >= nu * r2 * (1.0 - SLACK)
     # Lemma 3: f(x) - f* >= (nu/2) ||x - x_prj||^2
     assert f - quad.f_star >= 0.5 * nu * r2 * (1.0 - SLACK)
+
+
+@PROPERTY
+@given(quads())
+def test_quad_projection_after_eval_is_the_fresh_projection(case):
+    a, b, quad, x = case
+    fresh = make_quadratic_composite(a, b)
+    quad.eval(x)
+    # the point just evaluated, projected from its kept product A x
+    assert quad.project(x).tobytes() == fresh.project(x).tobytes()
+    # the caller writes to the evaluated point afterwards
+    quad.eval(x)
+    x[0] += 1.0
+    assert quad.project(x).tobytes() == fresh.project(x).tobytes()
+    # a batch holding the evaluated point, with the same bytes
+    quad.eval(x)
+    assert quad.project(x[None, :]).tobytes() == fresh.project(x[None, :]).tobytes()
 
 
 @st.composite
@@ -154,6 +174,64 @@ def test_dual_point_written_after_eval_gets_a_fresh_product(case, beta, written)
     f_ref, g_ref = make_augl1_dual(problem.A, problem.b, problem.alpha).eval(y)
     assert f == f_ref
     assert np.array_equal(g, g_ref)
+
+
+SUPPORT_STEPS = ("same", "size", "content")
+
+
+@st.composite
+def support_walks(draw):
+    """(A, b, alpha, points, supports): dual points whose x(y) has the given supports.
+
+    ``A = [D | B]`` with D diagonal and B small, so ``(A^T y)_i = D_ii y_i``
+    for i < m and ``|A^T y| < 1`` beyond. From one support to the next the
+    walk keeps it, changes its size or swaps one index, each at least once.
+    """
+    m = draw(st.integers(3, 12))
+    n = m + draw(st.integers(1, 12))
+    stream = GaussianStream(draw(st.integers(0, 2**32 - 1)))
+    diag = 1.0 + stream.uniform(m)
+    a = np.zeros((m, n))
+    a[:, :m] = np.diag(diag)
+    a[:, m:] = 1e-3 / n * stream.normal((m, n - m))
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    steps = list(draw(st.permutations(SUPPORT_STEPS)))
+    steps += draw(st.lists(st.sampled_from(SUPPORT_STEPS), max_size=6))
+    support = set(draw(st.permutations(range(m)))[: draw(st.integers(1, m - 1))])
+    supports = [support]
+    for step in steps:
+        support = set(support)
+        inside, outside = sorted(support), sorted(set(range(m)) - support)
+        grow = len(support) == 1 or (len(support) < m - 1 and draw(st.booleans()))
+        if step != "same" and (step == "content" or not grow):
+            support.discard(draw(st.sampled_from(inside)))
+        if step != "same" and (step == "content" or grow):
+            support.add(draw(st.sampled_from(outside)))
+        supports.append(support)
+    points = []
+    for support in supports:
+        inside = np.isin(np.arange(m), sorted(support))
+        u = stream.uniform(m)
+        z = np.where(inside, 1.1 + 2.9 * u, 0.9 * u)
+        points.append(np.where(stream.uniform(m) < 0.5, -z, z) / diag)
+    alpha = draw(st.sampled_from([0.5, 1.0, 10.0]))
+    return a, stream.normal(m), alpha, points, supports
+
+
+@PROPERTY
+@given(support_walks())
+def test_dual_kept_support_block_gives_the_fresh_bits(walk):
+    a, b, alpha, points, supports = walk
+    dual = make_augl1_dual(a, b, alpha)
+    for y, support in zip(points, supports):
+        f, g = dual.eval(y)
+        fresh = make_augl1_dual(a, b, alpha)
+        f_ref, g_ref = fresh.eval(y)
+        primal = dual.primal(y)
+        assert np.flatnonzero(primal).tolist() == sorted(support)
+        assert (f, g.tobytes()) == (f_ref, g_ref.tobytes())
+        assert primal.tobytes() == fresh.primal(y).tobytes()
 
 
 _FINITE_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0),
