@@ -111,56 +111,38 @@ class Objective:
 # ---------------------------------------------------------------------------
 # 1-D piecewise examples
 
-_F1_JOIN = 2.0 - _SQRT2 / 2.0
-_F1_NU = 2.0 / (4.0 - _SQRT2)
-
-_F2_JOIN1 = _SQRT2 / 2.0
 _F2_C = math.sqrt((_SQRT2 - 1.0) / 2.0)
-_F2_OFFSET = math.sqrt(2.0 * _SQRT2 - 2.0) + (5.0 - 5.0 * _SQRT2) / 4.0
-_F2_NU = math.sqrt((_SQRT2 - 1.0) / 2.0)
+
+# One row per secant example: arc 1 ends at j1; arc 2, centred at c with its
+# top dropped by drop, ends at j2; then 0.5 * t^2 + offset with t = x - 1 + shift.
+# The last entry is the secant constant nu.
+_ARC_ROWS = {
+    "f1": (1.0, 2.0, 0.0, 2.0 - _SQRT2 / 2.0, _SQRT2 / 2.0, (1.0 + _SQRT2) / 2.0,
+           2.0 / (4.0 - _SQRT2)),
+    "f2": (_SQRT2 / 2.0, _SQRT2, _SQRT2, 1.0, _F2_C,
+           math.sqrt(2.0 * _SQRT2 - 2.0) + (5.0 - 5.0 * _SQRT2) / 4.0, _F2_C),
+}
 
 
-def _f1_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _arc_kernel(x, j1, c, drop, j2, shift, offset) -> tuple[np.ndarray, np.ndarray]:
     v = np.zeros_like(x)
     g = np.zeros_like(x)
-    m1 = (x > 0.0) & (x < 1.0)
-    m2 = (x >= 1.0) & (x <= _F1_JOIN)
-    m3 = x > _F1_JOIN
+    m1 = (x > 0.0) & (x <= j1)
+    m2 = (x > j1) & (x <= j2)
+    m3 = x > j2
     if m1.any():
         s = np.sqrt(1.0 - x[m1] ** 2)
         v[m1] = 1.0 - s
-        g[m1] = x[m1] / s
-    if m2.any():
-        d = x[m2] - 2.0
-        s = np.sqrt(1.0 - d**2)
-        v[m2] = 1.0 + s
         with np.errstate(divide="ignore"):
-            g[m2] = -d / s  # unbounded as x -> 1 from the right
-    if m3.any():
-        t = x[m3] - 1.0 + _SQRT2 / 2.0
-        v[m3] = 0.5 * t**2 + (1.0 + _SQRT2) / 2.0
-        g[m3] = t
-    return v, g
-
-
-def _f2_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v = np.zeros_like(x)
-    g = np.zeros_like(x)
-    m1 = (x > 0.0) & (x <= _F2_JOIN1)
-    m2 = (x > _F2_JOIN1) & (x <= 1.0)
-    m3 = x > 1.0
-    if m1.any():
-        s = np.sqrt(1.0 - x[m1] ** 2)
-        v[m1] = 1.0 - s
-        g[m1] = x[m1] / s
+            g[m1] = x[m1] / s  # f1's gradient is +inf at x = 1
     if m2.any():
-        d = x[m2] - _SQRT2
+        d = x[m2] - c
         s = np.sqrt(1.0 - d**2)
-        v[m2] = s - _SQRT2 + 1.0
+        v[m2] = s - drop + 1.0
         g[m2] = -d / s
     if m3.any():
-        t = x[m3] - 1.0 + _F2_C
-        v[m3] = 0.5 * t**2 + _F2_OFFSET
+        t = x[m3] - 1.0 + shift
+        v[m3] = 0.5 * t**2 + offset
         g[m3] = t
     return v, g
 
@@ -192,24 +174,19 @@ def make_example_1d(fid: str, beta: float | None = None) -> Objective:
 
     f1 and f2 are non-convex with minimizer set (-inf, 0]; their gradients
     satisfy the secant inequality with nu = 2/(4 - sqrt(2)) and
-    sqrt((sqrt(2) - 1)/2) respectively. f1's gradient blows up at x = 1, so
-    it carries no Lipschitz constant. f3(x) = 0.5 * shrink_beta(x)^2 is
-    convex but not strictly convex, with nu = 1 and minimizer set
-    [-beta, beta].
+    sqrt((sqrt(2) - 1)/2) respectively. Each is a unit-circle arc, a second
+    arc, then a parabola, evaluated by one kernel with its row of
+    `_ARC_ROWS`. f1's gradient is +inf at x = 1, so it carries no Lipschitz
+    constant. f3(x) = 0.5 * shrink_beta(x)^2 is convex but not strictly
+    convex, with nu = 1 and minimizer set [-beta, beta].
     """
-    if fid == "f1":
+    if fid in _ARC_ROWS:
+        *row, nu = _ARC_ROWS[fid]
         return _make_1d(
-            _f1_kernel,
+            lambda x: _arc_kernel(x, *row),
             lambda x: np.minimum(np.asarray(x, dtype=np.float64), 0.0),
-            KnownConstants(nu=_F1_NU),
-            "f1",
-        )
-    if fid == "f2":
-        return _make_1d(
-            _f2_kernel,
-            lambda x: np.minimum(np.asarray(x, dtype=np.float64), 0.0),
-            KnownConstants(nu=_F2_NU),
-            "f2",
+            KnownConstants(nu=nu),
+            fid,
         )
     if fid == "f3":
         if beta is None or not (math.isfinite(beta) and beta > 0):
@@ -321,7 +298,9 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     The gradient is ``A x(y) - b`` with ``x(y) = alpha * shrink_1(A^T y)``,
     i.e. minus the primal residual of the recovered point. Only
     ``L = alpha * lambda_max(A A^T)`` is known (from LAPACK); the solution
-    set has no closed form, so there is no projection and no f_star.
+    set has no closed form, so there is no projection and no f_star. A must
+    be nonzero, so that L is positive; b = 0 is accepted, and then y = 0 is
+    a minimizer with gradient exactly 0.
 
     ``A x(y)`` is a product with the columns of A on the support S of x(y)
     only, which is contiguous when A is column-major (as
@@ -353,8 +332,8 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         raise ValueError(f"matrix is {m}x{n} but b has length {rhs.shape[0]}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if not A.any() or not rhs.any():
-        raise ValueError("A and b must both be nonzero")
+    if not A.any():
+        raise ValueError("A must be nonzero, so that L = alpha ||A||^2 is positive")
     gram = A @ A.T
     norm_sq = sym_eig_summary(0.5 * (gram + gram.T)).lambda_max  # ||A||^2
 
@@ -440,27 +419,17 @@ def compose_constants(g_constants: KnownConstants, a, mode: str) -> KnownConstan
         raise ValueError("composition requires g's Lipschitz constant L")
     if g_constants.nu is None:
         raise ValueError("composition requires g's modulus nu")
-    # ||A||^2 is lambda_max of either Gram matrix
-    if mode == "surjective":
-        gram = A @ A.T
-        summary = sym_eig_summary(0.5 * (gram + gram.T))
-        if summary.lambda_min <= 1e-12 * summary.lambda_max:
-            raise ValueError(
-                f"surjective mode needs full row rank: lambda_min(AA^T) = "
-                f"{summary.lambda_min:.6e}"
-            )
-        return KnownConstants(
-            L=g_constants.L * summary.lambda_max, nu=g_constants.nu * summary.lambda_min
-        )
-    if mode == "strictly_convex":
-        gram = A.T @ A
-        summary = sym_eig_summary(0.5 * (gram + gram.T))
-        if summary.lambda_min_pp is None:
-            raise ValueError("A^T A has no strictly positive eigenvalue")
-        return KnownConstants(
-            L=g_constants.L * summary.lambda_max, nu=g_constants.nu * summary.lambda_min_pp
-        )
-    raise ValueError(f"unknown composition mode {mode!r}")
+    if mode not in ("surjective", "strictly_convex"):
+        raise ValueError(f"unknown composition mode {mode!r}")
+    surjective = mode == "surjective"
+    gram = A @ A.T if surjective else A.T @ A
+    summary = sym_eig_summary(0.5 * (gram + gram.T))  # ||A||^2 is lambda_max of either
+    low = summary.lambda_min if surjective else summary.lambda_min_pp
+    if surjective and low <= 1e-12 * summary.lambda_max:
+        raise ValueError(f"surjective mode needs full row rank: lambda_min(AA^T) = {low:.6e}")
+    if low is None:
+        raise ValueError("A^T A has no strictly positive eigenvalue")
+    return KnownConstants(L=g_constants.L * summary.lambda_max, nu=g_constants.nu * low)
 
 
 def finite_diff_check(oracle: Objective, points) -> float:

@@ -146,41 +146,45 @@ class SolverTrace:
 
 
 def load_trace_csv(path) -> SolverTrace:
-    """Read a trace CSV in the `SolverTrace.to_csv` format (status is not stored)."""
-    f_vals: list[float] = []
-    gaps: list[float | None] = []
-    gn: list[float] = []
-    dist: list[float | None] = []
+    """Read a trace CSV in the `SolverTrace.to_csv` format (status is not stored).
+
+    Raises ValueError naming the file and line of a row without 6 fields, with
+    a non-numeric field, or with fgap or dist_to_sol blank only on some rows.
+    """
+    rows: list[tuple[float, float | None, float, float | None]] = []
     events: list[str] = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != "k,f,fgap,grad_norm,dist_to_sol,reset_event":
             raise ValueError(f"unrecognized trace header: {header!r}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split(",")
+            if fields == [""]:
                 continue
-            _, f_s, gap_s, gn_s, dist_s, ev = line.split(",")
-            f_vals.append(float(f_s))
-            gaps.append(float(gap_s) if gap_s else None)
-            gn.append(float(gn_s))
-            dist.append(float(dist_s) if dist_s else None)
+            where = f"{path} line {lineno}"
+            if len(fields) != 6:
+                raise ValueError(f"{where}: expected 6 fields, got {len(fields)}")
+            k_s, f_s, gap_s, gn_s, dist_s, ev = fields
+            try:
+                int(k_s)
+                row = (float(f_s), float(gap_s) if gap_s else None,
+                       float(gn_s), float(dist_s) if dist_s else None)
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {line.strip()!r}") from None
+            if rows and (not gap_s, not dist_s) != (rows[0][1] is None, rows[0][3] is None):
+                raise ValueError(f"{where}: fgap or dist_to_sol is blank on some rows only")
+            rows.append(row)
             events.append(ev)
-    if not f_vals:
+    if not rows:
         raise ValueError(f"no records in {path}")
-    f_star = None
-    if gaps[0] is not None:
-        f_star = f_vals[0] - gaps[0]
-    dist_arr = None
-    if dist[0] is not None:
-        dist_arr = np.array([d for d in dist], dtype=np.float64)
+    f, gaps, gn, dist = zip(*rows)
     return SolverTrace(
-        f=np.array(f_vals),
+        f=np.array(f),
         grad_norm=np.array(gn),
-        dist_to_sol=dist_arr,
+        dist_to_sol=None if dist[0] is None else np.array(dist),
         reset_event=tuple(events),
         status="max_iters",
-        f_star=f_star,
+        f_star=None if gaps[0] is None else f[0] - gaps[0],
     )
 
 

@@ -68,8 +68,9 @@ class RecoveryResult:
     """Per-iteration recovery curves and the final primal point.
 
     ``rel_error_curve`` is ``||x^(k) - x_true|| / ||x_true||`` (None when the
-    planted signal is zero); ``primal_residual_curve`` is ``||A x^(k) - b||``.
-    Both have one entry per dual iterate, so their length equals ``iters``.
+    planted signal is zero, whatever b is); ``primal_residual_curve`` is
+    ``||A x^(k) - b||``. Both have one entry per dual iterate, so their length
+    equals ``iters``.
     """
 
     x_final: np.ndarray
@@ -142,28 +143,6 @@ def gen_sparse_problem(
     return SparseProblem(A=A, b=b, x_true=x_true, alpha=float(alpha), seed=int(seed))
 
 
-def _degenerate_result(problem: SparseProblem, variant: str) -> RecoveryResult:
-    y0 = np.zeros(problem.m)
-    trace = SolverTrace(
-        f=np.zeros(1),
-        grad_norm=np.zeros(1),
-        dist_to_sol=None,
-        reset_event=("none",),
-        status="tol_reached",
-        f_star=None,
-        iterates=(y0,),
-        n_evals=0,
-    )
-    return RecoveryResult(
-        x_final=np.zeros(problem.n),
-        rel_error_curve=None,
-        primal_residual_curve=np.zeros(1),
-        iters=1,
-        variant=variant,
-        dual_trace=trace,
-    )
-
-
 def recover(
     problem: SparseProblem,
     variant: str,
@@ -174,9 +153,10 @@ def recover(
 
     Starts from y = 0 with the theory stepsize ``h = 1/(alpha ||A||^2)`` by
     default and stops once the primal residual satisfies
-    ``||A x - b|| < 1e-14 ||b||`` (the dual gradient norm *is* that residual)
-    or the budget runs out. ``variant`` is one of "gd", "nesterov",
-    "restart", "skip" (the last two are the adaptive reset policies).
+    ``||A x - b|| <= 1e-14 ||b||`` (the dual gradient norm *is* that residual)
+    or the budget runs out; with b = 0 that is at y = 0, after one
+    evaluation. ``variant`` is one of "gd", "nesterov", "restart", "skip"
+    (the last two are the adaptive reset policies).
     The solver runs on ``problem.dual``, so repeated recoveries on one
     problem share one oracle, and the primal point of each iterate is the
     one that oracle computed in the evaluation just made. The residual
@@ -185,17 +165,13 @@ def recover(
     """
     if variant not in RECOVERY_VARIANTS:
         raise ValueError(f"unknown recovery variant {variant!r}")
-    b_norm = float(np.linalg.norm(problem.b))
-    if b_norm == 0.0:
-        return _degenerate_result(problem, variant)
-
     oracle = problem.dual
     if h is None:
         h = 1.0 / oracle.constants.L
     cfg = SolverConfig(
         stepsize_h=h,
         max_iters=max_iters,
-        grad_tol=1e-14 * b_norm,
+        grad_tol=1e-14 * float(np.linalg.norm(problem.b)),
         variant={"gd": "gd", "nesterov": "nesterov", "restart": "adaptive", "skip": "adaptive"}[
             variant
         ],

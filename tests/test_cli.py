@@ -82,6 +82,8 @@ def test_solve_rejects_nan_grad_tol(tmp_path, capsys):
         (("--m", "20", "--n", "40", "--k", "0", "--alpha", "nan"), "alpha must be finite"),
         (("--m", "20", "--n", "40", "--k", "3", "--alpha", "nan"), "alpha must be finite"),
         (("--m", "20", "--n", "40", "--k", "3", "--alpha", "inf"), "alpha must be finite"),
+        (("--m", "20", "--n", "40", "--k", "0", "--h", "-1", "--max-iters", "0"), "stepsize_h"),
+        (("--m", "20", "--n", "40", "--k", "0", "--max-iters", "0"), "max_iters"),
     ],
 )
 def test_recover_rejects_bad_problem(tmp_path, capsys, extra, field):
@@ -104,6 +106,20 @@ def test_non_finite_f3_beta_is_usage_error(tmp_path, capsys, argv):
     assert run_cli(*argv, "--out", str(tmp_path)) == 2
     assert "beta" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_solve_on_zero_data_dual_stops_at_its_start(tmp_path, capsys):
+    assert run_cli("solve", "--oracle", "augl1:m=20,n=40,k=0,seed=1", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.startswith("status=tol_reached records=1 ")
+
+
+def test_rates_rejects_malformed_trace(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("k,f,fgap,grad_norm,dist_to_sol,reset_event\n0,1.0,,1.0,,none\n1,0.5\n")
+    code = run_cli("rates", "--input", str(path), "--window", "0", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert f"{path} line 3: expected 6 fields, got 2" in capsys.readouterr().err
+    assert not (tmp_path / "ratefit.jsonl").exists()
 
 
 def test_solve_writes_artifacts_and_reproduces(tmp_path):

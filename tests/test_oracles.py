@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,50 @@ def test_piecewise_continuity(fid, joins):
         f_hi, g_hi = oracle.eval(np.array([j + eps]))
         assert f_hi == pytest.approx(f_lo, abs=1e-7)
         assert g_hi[0] == pytest.approx(g_lo[0], abs=1e-4)
+
+
+# (f, f') of f1 and f2 at x = 1, sqrt(2)/2 and 2 - sqrt(2)/2, each preceded by
+# its lower and followed by its upper float neighbour, as float.hex()
+JOIN_PINS = {
+    "f1": [
+        ("0x1.ffffff8000000p-1", "0x1.fffffffffffffp+25"),
+        ("0x1.0000000000000p+0", "inf"),
+        ("0x1.0000005a8279ap+0", "0x1.6a09e667f3bcbp+25"),
+        ("0x1.2bec333018866p-2", "0x1.fffffffffffffp-1"),
+        ("0x1.2bec333018868p-2", "0x1.0000000000001p+0"),
+        ("0x1.2bec33301886ap-2", "0x1.0000000000002p+0"),
+        ("0x1.b504f333f9de6p+0", "0x1.0000000000002p+0"),
+        ("0x1.b504f333f9de6p+0", "0x1.fffffffffffffp-1"),
+        ("0x1.b504f333f9de8p+0", "0x1.0000000000002p+0"),
+    ],
+    "f2": [
+        ("0x1.fbde8d7f0a11ap-2", "0x1.d203138f6c82dp-2"),
+        ("0x1.fbde8d7f0a11cp-2", "0x1.d203138f6c82ap-2"),
+        ("0x1.fbde8d7f0a121p-2", "0x1.d203138f6c82dp-2"),
+        ("0x1.2bec333018866p-2", "0x1.fffffffffffffp-1"),
+        ("0x1.2bec333018868p-2", "0x1.0000000000001p+0"),
+        ("0x1.2bec333018866p-2", "0x1.fffffffffffffp-1"),
+        ("0x1.58245253280e7p-1", "0x1.7ef7a35fc2846p-1"),
+        ("0x1.58245253280e8p-1", "0x1.7ef7a35fc2848p-1"),
+        ("0x1.58245253280eap-1", "0x1.7ef7a35fc284ap-1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("fid", ["f1", "f2"])
+def test_secant_examples_pinned_at_joins(fid):
+    xs = np.array([
+        x for j in (1.0, SQRT2 / 2, 2.0 - SQRT2 / 2)
+        for x in (np.nextafter(j, -np.inf), j, np.nextafter(j, np.inf))
+    ])
+    oracle = make_example_1d(fid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # f1(1) = (1, +inf) raises no RuntimeWarning
+        vals, grads = oracle.eval_batch(xs.reshape(-1, 1))
+        singles = [oracle.eval(np.array([x])) for x in xs]
+    for i, want in enumerate(JOIN_PINS[fid]):
+        assert (vals[i].hex(), grads[i, 0].hex()) == want
+        assert (singles[i][0].hex(), singles[i][1][0].hex()) == want
 
 
 def test_f1_gradient_blows_up_at_one():
@@ -274,6 +319,19 @@ def test_compose_missing_constant_named():
         compose_constants(KnownConstants(L=1.0), np.eye(2), "surjective")
     with pytest.raises(ValueError, match="L"):
         compose_constants(KnownConstants(nu=1.0), np.eye(2), "surjective")
+
+
+@pytest.mark.parametrize(
+    "a, mode, message",
+    [
+        (np.eye(2), "diagonal", "unknown composition mode 'diagonal'"),
+        (np.zeros((2, 3)), "strictly_convex", "no strictly positive eigenvalue"),
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), "surjective", "full row rank"),
+    ],
+)
+def test_compose_rejects_bad_mode_or_matrix(a, mode, message):
+    with pytest.raises(ValueError, match=message):
+        compose_constants(KnownConstants(L=1.0, nu=1.0), a, mode)
 
 
 def test_finite_diff_quad(quad_20x50):

@@ -366,6 +366,24 @@ def test_trace_csv_roundtrip(tmp_path, quad_20x50):
     assert back.n_evals is None  # the CSV does not carry the oracle-call count
 
 
+@pytest.mark.parametrize(
+    "second_row, message",
+    [
+        ("1,0.5,0.5,1.0", "expected 6 fields, got 4"),
+        ("1,0.5,half,1.0,,none", "non-numeric field in '1,0.5,half,1.0,,none'"),
+        ("1,0.5,,1.0,,none", "fgap or dist_to_sol is blank on some rows only"),
+        ("1,0.5,0.5,1.0,0.25,none", "fgap or dist_to_sol is blank on some rows only"),
+    ],
+)
+def test_load_trace_csv_rejects_malformed_rows(tmp_path, second_row, message):
+    path = tmp_path / "trace.csv"
+    header = "k,f,fgap,grad_norm,dist_to_sol,reset_event"
+    path.write_text(f"{header}\n0,1.0,1.0,2.0,,none\n{second_row}\n")
+    with pytest.raises(ValueError) as info:
+        load_trace_csv(path)
+    assert str(info.value) == f"{path} line 3: {message}"
+
+
 def test_trace_csv_header_and_blanks():
     # the dual oracle has neither f_star nor projection, so those columns stay blank
     from gradcert.oracles import make_augl1_dual

@@ -207,7 +207,24 @@ def test_recover_degenerate_zero_signal():
     assert res.rel_error_curve is None
     assert not res.x_final.any()
     assert res.primal_residual_curve[0] == 0.0
-    assert res.dual_trace.n_evals == 0
+    assert res.dual_trace.n_evals == 1  # the start point is evaluated
+
+
+@pytest.mark.parametrize(
+    "kwargs, message", [({"h": -1.0}, "stepsize_h"), ({"max_iters": 0}, "max_iters")]
+)
+def test_recover_zero_signal_checks_its_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        recover(gen_sparse_problem(3, 30, 60, 0), "gd", **kwargs)
+
+
+def test_recover_zero_data_with_nonzero_signal():
+    # x_true lies in the null space of A, so b = A x_true = 0 and x(y) stays 0
+    a = np.array([[1.0, 1.0, 0.0]])
+    x_true = np.array([1.0, -1.0, 0.0])
+    res = recover(SparseProblem(A=a, b=a @ x_true, x_true=x_true, alpha=1.0, seed=0), "nesterov")
+    assert res.rel_error_curve.tolist() == [1.0]
+    assert res.dual_trace.status == "tol_reached" and res.iters == 1
 
 
 def test_recover_iterations_to():
