@@ -269,7 +269,10 @@ def _cmd_verify(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_rates(args: argparse.Namespace, out: Path) -> int:
-    trace = load_trace_csv(args.input)
+    try:
+        trace = load_trace_csv(args.input)
+    except OSError as exc:
+        raise ValueError(f"cannot read --input {args.input}: {exc.strerror or exc}") from None
     fit = fit_rate(trace, args.model, (args.window[0], args.window[1]))
     _echo_config(out, args)
     _write_atomic(out / "ratefit.jsonl", fit.to_json() + "\n")

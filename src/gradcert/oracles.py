@@ -13,6 +13,8 @@ known for it:
 Members: three 1-D piecewise examples (two non-convex secant-inequality
 functions and a soft-threshold quadratic), least-squares composites
 ``0.5 ||Ax - b||^2``, and the negated dual of the augmented-l1 model.
+The matrix oracles form single-point products with ``ndarray.dot``, which
+gives the bits of ``@`` at a smaller cost per call.
 """
 
 from __future__ import annotations
@@ -244,10 +246,10 @@ def make_quadratic_composite(a, b) -> Objective:
     def eval_one(x):
         nonlocal last
         x = np.asarray(x, dtype=np.float64)
-        ax = A @ x
+        ax = A.dot(x)
         r = ax - rhs
         last = (x.tobytes(), ax) if x.ndim == 1 else None
-        return 0.5 * float(r @ r), A.T @ r
+        return 0.5 * float(r.dot(r)), r.dot(A)
 
     def eval_batch(xs):
         resid = xs @ A.T - rhs
@@ -257,8 +259,8 @@ def make_quadratic_composite(a, b) -> Objective:
         pts = np.asarray(x, dtype=np.float64)
         if pts.ndim == 1:
             seen = last
-            ax = seen[1] if seen is not None and seen[0] == pts.tobytes() else A @ pts
-            return pts + proj @ (rhs - ax)
+            ax = seen[1] if seen is not None and seen[0] == pts.tobytes() else A.dot(pts)
+            return pts + proj.dot(rhs - ax)
         return pts + (rhs - pts @ A.T) @ proj.T
 
     return Objective(
@@ -287,7 +289,7 @@ def _augl1_point(block_of, rhs: np.ndarray, alpha: float, z: np.ndarray):
     xs = alpha * s
     x = np.zeros(z.shape[0])
     x[S] = xs
-    return s, x, block_of(S) @ xs - rhs
+    return s, x, block_of(S).dot(xs) - rhs
 
 
 def make_augl1_dual(a, b, alpha: float) -> Objective:
@@ -362,7 +364,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         if pending is not None and pending[0] == key:
             z = pending[1]
         else:
-            z = A.T @ y
+            z = y.dot(A)
             products.append((key, z))
             if len(products) > 2:
                 del products[0]
@@ -386,7 +388,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         seen = last
         if seen is not None and seen[0] == y.tobytes():
             return seen[1]
-        return alpha * shrink(A.T @ y, 1.0)
+        return alpha * shrink(y.dot(A), 1.0)
 
     def eval_batch(ys):
         s = shrink(ys @ A, 1.0)

@@ -339,7 +339,7 @@ def run_solver(
         beta = 0.0
         if not gd:
             # momentum pointing uphill (minimization form of the gradient scheme)
-            if adaptive and prev_gy is not None and float(prev_gy @ (y - prev_y)) > 0.0:
+            if adaptive and prev_gy is not None and float(prev_gy.dot(y - prev_y)) > 0.0:
                 if cfg.policy == "restart":
                     theta = 1.0
                 theta, _ = theta_step(theta)

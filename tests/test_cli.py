@@ -122,6 +122,14 @@ def test_rates_rejects_malformed_trace(tmp_path, capsys):
     assert not (tmp_path / "ratefit.jsonl").exists()
 
 
+def test_rates_missing_input_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "absent.csv"
+    code = run_cli("rates", "--input", str(path), "--window", "0", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert f"cannot read --input {path}: No such file or directory" in capsys.readouterr().err
+    assert not (tmp_path / "ratefit.jsonl").exists()
+
+
 def test_solve_writes_artifacts_and_reproduces(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["solve", "--oracle", "quad:m=10,n=25,seed=7", "--variant", "gd",
@@ -208,6 +216,17 @@ def test_certify_command(tmp_path):
     rec = json.loads((out / "constants.jsonl").read_text().splitlines()[0])
     assert rec["constant"] == "nu"
     assert abs(rec["value"] - 1.0) < 1e-9
+
+
+def test_certify_rlg_starts_from_the_whole_grid(tmp_path):
+    # f2 is flat on [-1, 0]; the start covers every grid point, not only
+    # the first 1024, which all lie in [-1, -0.39] at 10,000 samples
+    out = tmp_path / "rlg"
+    assert run_cli("certify", "--oracle", "f2", "--which", "rlg", "--box", "-1", "5",
+                   "--samples", "10000", "--out", str(out)) == 0
+    rec = json.loads((out / "constants.jsonl").read_text().splitlines()[0])
+    assert rec["constant"] == "R"
+    assert 2.8 < rec["value"] <= 2.83
 
 
 def test_config_file_merge_and_override(tmp_path):

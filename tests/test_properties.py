@@ -22,11 +22,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gradcert.certify import GridOptimum, appendix_grid, check_bounds
-from gradcert.numkit import GaussianStream
-from gradcert.oracles import _augl1_point, make_augl1_dual, make_quadratic_composite, shrink
+from gradcert.certify import GridOptimum, _pair_ratios, _start_ratio, appendix_grid, check_bounds
+from gradcert.numkit import GaussianStream, cholesky_solve
+from gradcert.oracles import (
+    _augl1_point,
+    make_augl1_dual,
+    make_example_1d,
+    make_quadratic_composite,
+    shrink,
+)
 from gradcert.solvers import SolverConfig, SolverTrace, run_solver, theta_step
 from gradcert.sparse_recovery import gen_sparse_problem
 
@@ -94,6 +100,51 @@ def test_quad_projection_after_eval_is_the_fresh_projection(case):
     # a batch holding the evaluated point, with the same bytes
     quad.eval(x)
     assert quad.project(x[None, :]).tobytes() == fresh.project(x[None, :]).tobytes()
+
+
+@st.composite
+def ordered_matrices(draw):
+    """(A, b, x, y): an m x n matrix with m < n, C- or F-ordered, and points."""
+    n = draw(st.integers(2, 200))
+    m = draw(st.integers(1, n - 1))
+    stream = GaussianStream(draw(st.integers(0, 2**32 - 1)))
+    a = stream.normal((m, n))
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    # y scaled so that A^T y straddles the shrink threshold 1
+    return a, stream.normal(m), stream.normal(n), stream.normal(m) / np.sqrt(m)
+
+
+@PROPERTY
+@given(ordered_matrices())
+def test_quad_products_are_bitwise_the_matmul_forms(case):
+    a, b, x, _ = case
+    quad = make_quadratic_composite(a, b)
+    gram = a @ a.T
+    proj = a.T @ cholesky_solve(np.linalg.cholesky(0.5 * (gram + gram.T)), np.eye(a.shape[0]))
+    p_ref = x + proj @ (b - a @ x)
+    # a point not evaluated before, then the point just evaluated
+    assert quad.project(x).tobytes() == p_ref.tobytes()
+    f, g = quad.eval(x)
+    r = a @ x - b
+    assert (f, g.tobytes()) == (0.5 * float(r @ r), (a.T @ r).tobytes())
+    assert quad.project(x).tobytes() == p_ref.tobytes()
+
+
+@PROPERTY
+@given(ordered_matrices(), st.sampled_from([0.5, 1.0, 10.0]))
+def test_dual_products_are_bitwise_the_matmul_forms(case, alpha):
+    a, b, _, y = case
+    dual = make_augl1_dual(a, b, alpha)
+    z = a.T @ y
+    u = np.abs(z) - 1.0
+    S = (~(u <= 0.0)).nonzero()[0]
+    s = np.copysign(u[S], z[S])
+    f, g = dual.eval(y)
+    assert f == 0.5 * alpha * float(s @ s) - float(b @ y)
+    assert g.tobytes() == (a[:, S] @ (alpha * s) - b).tobytes()
+    # a point other than the last one evaluated gets a fresh product
+    assert dual.primal(2.0 * y).tobytes() == (alpha * shrink(a.T @ (2.0 * y), 1.0)).tobytes()
 
 
 @st.composite
@@ -382,3 +433,63 @@ def test_appendix_grid_is_the_full_scan(log_r, nu_over_r, steps):
     big_r = 10.0**log_r
     nu = nu_over_r * big_r
     assert appendix_grid(big_r, nu, steps) == _full_scan_grid(big_r, nu, steps)
+
+
+def _prefix_start(z, gz):
+    """The former start of `estimate_rlg`: all pairs of the first 1024 points."""
+    p = min(z.shape[0], 1024)
+    best, witness = -np.inf, None
+    for i in range(p - 1):
+        ratios = _pair_ratios(
+            np.broadcast_to(z[i], (p - i - 1, 1)), z[i + 1 : p],
+            np.broadcast_to(gz[i], (p - i - 1, 1)), gz[i + 1 : p],
+        )
+        j = int(np.argmax(ratios))
+        if ratios[j] > best:
+            best, witness = float(ratios[j]), (z[i], z[i + 1 + j])
+    return best, witness
+
+
+@st.composite
+def sorted_clouds(draw, max_size):
+    """(z, gz): a sorted 1-D cloud, gaps at least 1e-6, and f1/f2/f3 gradients."""
+    fid = draw(st.sampled_from(["f1", "f2", "f3"]))
+    oracle = make_example_1d(fid, beta=draw(st.floats(0.1, 3.0)) if fid == "f3" else None)
+    n = draw(st.integers(2, max_size))
+    lo = draw(st.floats(-6.0, 3.0))
+    width = draw(st.floats(0.01, 12.0))
+    if draw(st.booleans()):
+        z = np.linspace(lo, lo + width, n)
+    else:
+        gaps = 1e-6 + GaussianStream(draw(st.integers(0, 2**32 - 1))).uniform(n - 1)
+        z = lo + width * np.r_[0.0, np.cumsum(gaps)] / (1e-6 * (n - 1) + gaps.sum())
+    z = z.reshape(-1, 1)
+    _, gz = oracle.eval_batch(z)
+    assume(np.all(np.isfinite(gz)))  # f1's gradient is +inf at x = 1
+    return z, gz
+
+
+@PROPERTY
+@given(sorted_clouds(1500))
+def test_rlg_start_is_the_all_pairs_max(cloud):
+    z, gz = cloud
+    i, j = np.triu_indices(z.shape[0], 1)
+    brute = float(np.max(_pair_ratios(z[i], z[j], gz[i], gz[j])))
+    best, (xa, xb) = _start_ratio(z, gz)
+    # the adjacent pairs are among all pairs, with the same bits
+    assert best <= brute
+    assert best >= brute * (1.0 - 1e-12)
+    assert abs(float(xb[0] - xa[0])) > 1e-12
+
+
+@PROPERTY
+@given(sorted_clouds(1024))
+def test_rlg_start_is_the_former_prefix_start(cloud):
+    z, gz = cloud
+    best, (xa, xb) = _start_ratio(z, gz)
+    assert best == _prefix_start(z, gz)[0]
+    # on a tie the witness may be another pair of the same ratio
+    k = int(np.searchsorted(z[:, 0], xa[0]))
+    assert xb[0] == z[k + 1, 0]
+    assert best == float(_pair_ratios(z[k : k + 1], z[k + 1 : k + 2], gz[k : k + 1],
+                                      gz[k + 1 : k + 2])[0])
