@@ -227,8 +227,8 @@ def _start_ratio(z: np.ndarray, gz: np.ndarray) -> tuple[float, tuple | None]:
     slope is a weighted mean of the a-b and b-c slopes, so the largest ratio
     over all pairs is an adjacent one, and one pass over the adjacent pairs
     covers the whole grid. Otherwise all pairs of the first 1024 points are
-    scanned, one row at a time. ``-inf`` (and no pair) means no pair lies
-    more than 1e-12 apart.
+    scanned, one row at a time. The value is ``-inf`` when no pair lies more
+    than 1e-12 apart.
     """
     if z.shape[1] == 1:
         ratios = _pair_ratios(z[:-1], z[1:], gz[:-1], gz[1:])
