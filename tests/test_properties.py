@@ -10,7 +10,11 @@ product whenever a point changed after its evaluation. Along a walk whose
 support holds, changes size or changes content, the dual's evaluations must
 be a fresh oracle's bit for bit, and so must the quad's projection of the
 point it just evaluated. The support form of the shrink must be bitwise
-`shrink`, which must not expand distances. Gradient
+`shrink`, which must not expand distances. The quad's and the dual's
+single-point products, formed with ``ndarray.dot``, must be bitwise the
+``@`` forms for C- and F-ordered matrices. The start of the 1-D
+`estimate_rlg`, over adjacent grid pairs, must be the all-pairs maximum to
+rounding and, up to 1024 points, bitwise the former prefix start. Gradient
 descent and Nesterov's scheme must match plain in-test loops bit for bit;
 the dampening sequence must satisfy its recursion; ``check_bounds``
 must place an injected violation at the right iteration; and
