@@ -155,13 +155,26 @@ def _box(domain, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sample_points(oracle: Objective, domain, n: int, seed: int) -> np.ndarray:
-    """n sample points in the box: a uniform grid in 1-D, uniform draws else."""
+_ROWS = 2**13  # rows per block in the sampled estimators
+
+
+def _blocks(n: int):
+    """Consecutive ``(start, stop)`` blocks of `_ROWS` rows over n rows, the last taking the
+    rest: BLAS may round a product of fewer rows another way."""
+    k = max(1, n // _ROWS)
+    return ((j * _ROWS, n if j == k - 1 else (j + 1) * _ROWS) for j in range(k))
+
+
+def _sample_blocks(oracle: Objective, domain, n: int, seed: int):
+    """n sample points in the box by row blocks: a uniform grid in 1-D, uniform draws else."""
     lo, hi = _box(domain, oracle.dim)
-    if oracle.dim == 1:
-        return np.linspace(lo[0], hi[0], n).reshape(-1, 1)
-    u = GaussianStream(seed).uniform(n * oracle.dim).reshape(n, oracle.dim)
-    return lo + u * (hi - lo)
+    grid = np.linspace(lo[0], hi[0], n).reshape(-1, 1) if oracle.dim == 1 else None
+    stream = GaussianStream(seed)
+    for r0, r1 in _blocks(n):
+        if grid is not None:
+            yield grid[r0:r1]
+        else:
+            yield lo + stream.uniform((r1 - r0) * oracle.dim).reshape(-1, oracle.dim) * (hi - lo)
 
 
 def _eval_batch(oracle: Objective, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -187,29 +200,29 @@ def estimate_rsi(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
 
     Samples with ``||x - x_prj|| <= 1e-8`` (inside or hugging the solution
     set) and samples with non-finite gradients are excluded. The sampled
-    minimum can only over-estimate the true infimum.
+    minimum can only over-estimate the true infimum. It holds one block of
+    samples at a time (and the n-point grid in 1-D), whatever ``n_samples``.
     """
     if oracle.project is None:
         raise ValueError("secant estimation needs an oracle with a projection")
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    pts = _sample_points(oracle, domain, n_samples, seed)
-    _, grads = _eval_batch(oracle, pts)
-    prj = _project_batch(oracle, pts)
-    diff = pts - prj
-    dn = np.linalg.norm(diff, axis=1)
-    finite = np.all(np.isfinite(grads), axis=1)
-    mask = (dn > 1e-8) & finite
-    if not mask.any():
+    value, witness, used = np.inf, None, 0
+    for pts in _sample_blocks(oracle, domain, n_samples, seed):
+        _, grads = _eval_batch(oracle, pts)
+        diff = pts - _project_batch(oracle, pts)
+        dn = np.linalg.norm(diff, axis=1)
+        mask = (dn > 1e-8) & np.all(np.isfinite(grads), axis=1)
+        if mask.any():
+            ratios = np.einsum("ij,ij->i", grads[mask], diff[mask]) / dn[mask] ** 2
+            i = int(np.argmin(ratios))
+            # first occurrence, NaN first: np.argmin over all blocks at once
+            if ratios[i] < value or np.isnan(ratios[i]):
+                value, witness = float(ratios[i]), pts[mask][i].copy()
+        used += int(mask.sum())
+    if not used:
         raise ValueError("no sample fell outside the solution set; cannot estimate")
-    ratios = np.einsum("ij,ij->i", grads[mask], diff[mask]) / dn[mask] ** 2
-    i = int(np.argmin(ratios))
-    return ConstantEstimate(
-        value=float(ratios[i]),
-        witness=pts[mask][i].copy(),
-        method="projection_ratio",
-        samples_used=int(mask.sum()),
-    )
+    return ConstantEstimate(value, witness, "projection_ratio", used)
 
 
 def _pair_ratios(xa, xb, ga, gb) -> np.ndarray:
@@ -261,10 +274,11 @@ def estimate_rlg(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
     descent segments from z to ``z - (1/R) grad f(z)``, keeping a running
     max until the value stops growing (relative 1e-6) or 50 sweeps. The
     sweeps are random, so more samples can give a slightly smaller estimate.
+    It holds the cloud and its gradients plus one block of a sweep's pairs.
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    z = _sample_points(oracle, domain, n_samples, seed)
+    z = np.concatenate(list(_sample_blocks(oracle, domain, n_samples, seed)))
     _, gz = _eval_batch(oracle, z)
     if not np.all(np.isfinite(gz)):
         bad = z[~np.all(np.isfinite(gz), axis=1)][0]
@@ -274,37 +288,38 @@ def estimate_rlg(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
     if not np.isfinite(best) or best <= 0:
         raise ValueError("no usable gradient ratio in the sample cloud")
 
-    stream = GaussianStream(seed).split(0x5E6)
-    pairs_per_z = 32
+    # pair p * n + i lies on sample i's segment; a sweep draws the u of all
+    # its xa, then of all its xb, so each block reads its u from two counters
+    rows = 32 * n_samples
+    draws_a, draws_b = GaussianStream(seed).split(0x5E6), GaussianStream(seed).split(0x5E6)
+    draws_b.skip(rows)
     value = best
     for _ in range(50):
-        # endpoints z - (u / R) grad f(z) for two fresh u in [0, 1] per pair
-        u = stream.uniform(2 * pairs_per_z * n_samples).reshape(2, pairs_per_z, n_samples, 1)
-        seg = gz / value
-        xa = (z[None, :, :] - u[0] * seg[None, :, :]).reshape(-1, z.shape[1])
-        xb = (z[None, :, :] - u[1] * seg[None, :, :]).reshape(-1, z.shape[1])
-        _, ga = _eval_batch(oracle, xa)
-        _, gb = _eval_batch(oracle, xb)
-        if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
-            bad = xa[~np.all(np.isfinite(ga), axis=1)]
-            zbad = bad[0] if bad.size else xb[~np.all(np.isfinite(gb), axis=1)][0]
-            raise ArithmeticError(f"gradient blow-up on a segment near {zbad}")
-        ratios = _pair_ratios(xa, xb, ga, gb)
-        j = int(np.argmax(ratios))
-        new_value = value
-        if np.isfinite(ratios[j]) and ratios[j] > value:
-            new_value = float(ratios[j])
-            witness = (xa[j].copy(), xb[j].copy())
-        if abs(new_value - value) <= 1e-6 * value:
-            value = new_value
+        seg, top = gz / value, -np.inf
+        for r0, r1 in _blocks(rows):
+            # endpoints z - (u / R) grad f(z) for two fresh u in [0, 1] per pair
+            at = np.arange(r0, r1) % n_samples
+            xa = z[at] - draws_a.uniform(r1 - r0)[:, None] * seg[at]
+            xb = z[at] - draws_b.uniform(r1 - r0)[:, None] * seg[at]
+            _, ga = _eval_batch(oracle, xa)
+            _, gb = _eval_batch(oracle, xb)
+            if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
+                bad = xa[~np.all(np.isfinite(ga), axis=1)]
+                zbad = bad[0] if bad.size else xb[~np.all(np.isfinite(gb), axis=1)][0]
+                raise ArithmeticError(f"gradient blow-up on a segment near {zbad}")
+            ratios = _pair_ratios(xa, xb, ga, gb)
+            j = int(np.argmax(ratios))
+            # first occurrence, NaN first: np.argmax over the whole sweep
+            if ratios[j] > top or np.isnan(ratios[j]):
+                top, pair = ratios[j], (xa[j].copy(), xb[j].copy())
+        draws_a.skip(rows)
+        draws_b.skip(rows)
+        if not (np.isfinite(top) and top > value):
             break
-        value = new_value
-    return ConstantEstimate(
-        value=value,
-        witness=witness,
-        method="segment_sampling",
-        samples_used=n_samples,
-    )
+        value, witness, last = float(top), pair, value
+        if value - last <= 1e-6 * last:
+            break
+    return ConstantEstimate(value, witness, "segment_sampling", n_samples)
 
 
 # ---------------------------------------------------------------------------

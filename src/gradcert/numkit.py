@@ -169,6 +169,10 @@ class GaussianStream:
         with np.errstate(over="ignore"):
             return _mix(self.seed + idx * _GOLDEN)
 
+    def skip(self, n: int) -> None:
+        """Move the counter past n raw words without drawing them."""
+        self._pos += n
+
     def uniform(self, n: int) -> np.ndarray:
         """n doubles strictly inside (0, 1)."""
         return (self._raw(n) >> _U64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54

@@ -22,15 +22,24 @@ exited 0 and passed its correctness check, no pair's change failed a larger
 share of its ops than its parent, the change won at least nine tenths of the
 pairs and the medians lie apart by more than the parent's interquartile
 distance.
+
+Before its pairs, each run set also records, per side, each acceptance
+gate's time in seconds, read from the ``ACCEPTANCE`` lines of ``pytest
+tests/test_acceptance.py -s``, and the wall time of the tier-1 suite
+(``pytest -q`` over the checkout's test paths), each with the exit code of
+its pytest run, while no benchmark runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +66,29 @@ def run_once(command: list[str], checkout: Path, workload: str, seed: int, secon
         "failed": result["failed"],
         "attempted": result["attempted"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def gate_times(text: str) -> dict[str, float]:
+    """Each gate's seconds from the ``ACCEPTANCE <gate>: PASS (<s>s)`` lines of a pytest log."""
+    return {m[1]: float(m[2]) for m in re.finditer(r"^ACCEPTANCE (.+?): PASS \(([0-9.]+)s\)",
+                                                    text, re.MULTILINE)}
+
+
+def run_tests(checkout: Path) -> dict:
+    """The checkout's acceptance gate times and tier-1 wall time, with their exit codes."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    pytest = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    gates = subprocess.run([*pytest, "-s", "tests/test_acceptance.py"], cwd=checkout, env=env,
+                           capture_output=True, text=True)
+    t0 = time.perf_counter()
+    tier1 = subprocess.run([*pytest, "--continue-on-collection-errors"], cwd=checkout, env=env,
+                           capture_output=True, text=True)
+    return {
+        "gate_s": gate_times(gates.stdout),
+        "gates_exit_code": gates.returncode,
+        "tier1_wall_s": time.perf_counter() - t0,
+        "tier1_exit_code": tier1.returncode,
     }
 
 
@@ -117,6 +149,10 @@ def main(argv=None) -> int:
 
     seconds = spec["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    tests = {side: run_tests(checkouts[side]) for side in SIDES}
+    for side in SIDES:
+        print(f"{side}: tier-1 {tests[side]['tier1_wall_s']:.2f} s, gates " + ", ".join(
+            f"{g} {t:.3f}" for g, t in tests[side]["gate_s"].items()), flush=True)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -135,6 +171,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "sound": runs_sound(pairs),
         "summary": summarize(pairs, spec["end_to_end"]),
+        "tests": tests,
         "pairs": pairs,
     }
     dest = ROOT / f"BENCH_{args.pr}.json"
