@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,22 @@ def test_parent_spread_is_the_benchmark_spread():
     summary = bench_record.summarize(pairs, END_TO_END)["ops_per_s"]
     assert summary["parent_spread"] == bench_record.spread(parent)
     assert summary["parent"]["median"] == bench_record.median(parent)
+
+
+def test_gate_times_come_from_the_acceptance_lines():
+    log = (
+        ".\nACCEPTANCE c01 theta-sequence: PASS (0.034s) max identity residual 1.1e-16\n"
+        ".\nACCEPTANCE c10 recovery (test 2): PASS (0.388s) \n"
+        "F\nnot ACCEPTANCE c02 thm2 linear rate: PASS (0.1s)\n"
+    )
+    assert bench_record.gate_times(log) == {"c01 theta-sequence": 0.034,
+                                            "c10 recovery (test 2)": 0.388}
+
+
+def test_gate_times_match_the_acceptance_suite():
+    # every gate of tests/test_acceptance.py prints a line gate_times reads
+    text = (ROOT / "tests" / "test_acceptance.py").read_text()
+    names = re.findall(r'_verdict\(\s*"([^"]+)"', text)
+    assert len(names) == len(re.findall(r"^def test_c\d\d", text, re.MULTILINE))
+    log = "".join(f"\nACCEPTANCE {n}: PASS (0.500s) detail" for n in names)
+    assert bench_record.gate_times(log) == {n: 0.5 for n in names}

@@ -14,7 +14,12 @@ point it just evaluated. The support form of the shrink must be bitwise
 single-point products, formed with ``ndarray.dot``, must be bitwise the
 ``@`` forms for C- and F-ordered matrices. The start of the 1-D
 `estimate_rlg`, over adjacent grid pairs, must be the all-pairs maximum to
-rounding and, up to 1024 points, bitwise the former prefix start. Gradient
+rounding and, up to 1024 points, bitwise the former prefix start. Both
+estimators, which work in row blocks, must return what their former
+whole-array forms return, bit for bit, and keep their one-sided bounds:
+`estimate_rlg` never above L, `estimate_rsi` never below lambda_min(A A^T).
+Moving the random stream's counter must skip exactly the draws passed
+over. Gradient
 descent and Nesterov's scheme must match plain in-test loops bit for bit;
 the dampening sequence must satisfy its recursion; ``check_bounds``
 must place an injected violation at the right iteration; and
@@ -28,7 +33,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gradcert.certify import GridOptimum, _pair_ratios, _start_ratio, appendix_grid, check_bounds
+from gradcert.certify import (
+    _ROWS,
+    GridOptimum,
+    _blocks,
+    _pair_ratios,
+    _start_ratio,
+    appendix_grid,
+    check_bounds,
+    estimate_rlg,
+    estimate_rsi,
+)
 from gradcert.numkit import GaussianStream, cholesky_solve
 from gradcert.oracles import (
     _augl1_point,
@@ -497,3 +512,150 @@ def test_rlg_start_is_the_former_prefix_start(cloud):
     assert xb[0] == z[k + 1, 0]
     assert best == float(_pair_ratios(z[k : k + 1], z[k + 1 : k + 2], gz[k : k + 1],
                                       gz[k + 1 : k + 2])[0])
+
+
+def _whole_samples(oracle, domain, n, seed):
+    """The former `_sample_points`: all n sample points at once."""
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=np.float64).ravel(), (oracle.dim,))
+              for v in domain)
+    if oracle.dim == 1:
+        return np.linspace(lo[0], hi[0], n).reshape(-1, 1)
+    return lo + GaussianStream(seed).uniform(n * oracle.dim).reshape(n, oracle.dim) * (hi - lo)
+
+
+def _whole_rsi(oracle, domain, n, seed):
+    """The former `estimate_rsi`, every sample at once: (value, witness, samples used)."""
+    pts = _whole_samples(oracle, domain, n, seed)
+    _, grads = oracle.eval_batch(pts)
+    diff = pts - oracle.project(pts)
+    dn = np.linalg.norm(diff, axis=1)
+    mask = (dn > 1e-8) & np.all(np.isfinite(grads), axis=1)
+    ratios = np.einsum("ij,ij->i", grads[mask], diff[mask]) / dn[mask] ** 2
+    i = int(np.argmin(ratios))
+    return float(ratios[i]), pts[mask][i], int(mask.sum())
+
+
+def _whole_rlg(oracle, domain, n, seed):
+    """The former `estimate_rlg`, each sweep's 32 n pairs at once: (value, witness, sweeps)."""
+    z = _whole_samples(oracle, domain, n, seed)
+    _, gz = oracle.eval_batch(z)
+    value, witness = _start_ratio(z, gz)
+    stream = GaussianStream(seed).split(0x5E6)
+    for sweep in range(1, 51):
+        u = stream.uniform(2 * 32 * n).reshape(2, 32, n, 1)
+        seg = gz / value
+        xa = (z[None, :, :] - u[0] * seg[None, :, :]).reshape(-1, z.shape[1])
+        xb = (z[None, :, :] - u[1] * seg[None, :, :]).reshape(-1, z.shape[1])
+        ratios = _pair_ratios(xa, xb, oracle.eval_batch(xa)[1], oracle.eval_batch(xb)[1])
+        j = int(np.argmax(ratios))
+        new_value = value
+        if np.isfinite(ratios[j]) and ratios[j] > value:
+            new_value, witness = float(ratios[j]), (xa[j], xb[j])
+        if abs(new_value - value) <= 1e-6 * value:
+            return new_value, witness, sweep
+        value = new_value
+    return value, witness, 50
+
+
+def _bytes(witness):
+    return tuple(w.tobytes() for w in witness) if isinstance(witness, tuple) else witness.tobytes()
+
+
+# sample counts at one and two blocks, less one, exact and plus one: rows
+# for estimate_rsi, a sweep's 32 pairs per sample for estimate_rlg
+RSI_SIZES = [k * _ROWS + d for k in (1, 2) for d in (-1, 0, 1)]
+RLG_SIZES = [k * _ROWS // 32 + d for k in (1, 2) for d in (-1, 0, 1)]
+ONE_D = [("f1", (0.0, 10.0)), ("f2", (-1.0, 5.0)), ("f3", (-5.0, 5.0))]
+
+
+@pytest.mark.parametrize("n", RSI_SIZES)
+def test_blocked_rsi_is_the_whole_array_rsi(n, quad_20x50):
+    box = (-3.0 * np.ones(50), 3.0 * np.ones(50))
+    cases = [(make_example_1d(f, beta=1.0 if f == "f3" else None), b) for f, b in ONE_D]
+    for oracle, domain in [*cases, (quad_20x50, box)]:
+        est = estimate_rsi(oracle, domain, n, seed=n)
+        value, witness, used = _whole_rsi(oracle, domain, n, n)
+        assert (est.value, _bytes(est.witness), est.samples_used) == (
+            value, _bytes(witness), used), oracle.name
+
+
+@pytest.mark.parametrize("n", RLG_SIZES)
+def test_blocked_rlg_is_the_whole_array_rlg(n, quad_20x50):
+    box = (-3.0 * np.ones(50), 3.0 * np.ones(50))
+    cases = [(make_example_1d(f, beta=1.0 if f == "f3" else None), b) for f, b in ONE_D[1:]]
+    sweeps = []
+    for oracle, domain in [*cases, (quad_20x50, box)]:
+        est = estimate_rlg(oracle, domain, n, seed=n)
+        value, witness, k = _whole_rlg(oracle, domain, n, n)
+        assert (est.value, _bytes(est.witness), est.samples_used) == (
+            value, _bytes(witness), n), oracle.name
+        sweeps.append(k)
+    # later sweeps read their draws where the former form read them
+    assert max(sweeps) > 1
+
+
+@PROPERTY
+@given(st.integers(1, 5 * _ROWS))
+def test_blocks_cover_the_rows_in_order_with_none_small(n):
+    # a product of fewer rows may round another way, so no block is smaller
+    # than the whole array or _ROWS rows
+    blocks = list(_blocks(n))
+    assert [r0 for r0, _ in blocks] == [0, *(r1 for _, r1 in blocks[:-1])]
+    assert blocks[-1][1] == n
+    assert all(min(n, _ROWS) <= r1 - r0 < 2 * _ROWS for r0, r1 in blocks)
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.integers(0, 5000), st.integers(0, 500))
+def test_stream_skip_passes_over_exactly_its_draws(seed, a, b):
+    stream = GaussianStream(seed)
+    stream.skip(a)
+    assert np.array_equal(stream.uniform(b), GaussianStream(seed).uniform(a + b)[a:])
+
+
+@PROPERTY
+@given(st.integers(0, 2**64 - 1), st.integers(1, 3 * _ROWS), st.integers(1, 3))
+def test_blocked_sweeps_draw_what_whole_sweeps_draw(seed, rows, sweeps):
+    # estimate_rlg's pattern: one counter for the xa of a sweep, one for its xb
+    whole = GaussianStream(seed)
+    draws_a, draws_b = GaussianStream(seed), GaussianStream(seed)
+    draws_b.skip(rows)
+    for _ in range(sweeps):
+        u = whole.uniform(2 * rows)
+        blocks = [(draws_a.uniform(r1 - r0), draws_b.uniform(r1 - r0)) for r0, r1 in _blocks(rows)]
+        assert np.array_equal(np.concatenate([ua for ua, _ in blocks]), u[:rows])
+        assert np.array_equal(np.concatenate([ub for _, ub in blocks]), u[rows:])
+        draws_a.skip(rows)
+        draws_b.skip(rows)
+    assert np.array_equal(draws_a.uniform(7), whole.uniform(7))
+
+
+@st.composite
+def estimator_quads(draw):
+    """(A, quad): a seeded m x n quad with 2 <= m < n <= 23."""
+    n = draw(st.integers(3, 23))
+    m = draw(st.integers(2, n - 1))
+    stream = GaussianStream(draw(st.integers(0, 2**32 - 1)))
+    a = stream.normal((m, n))
+    return a, make_quadratic_composite(a, stream.normal(m))
+
+
+ESTIMATORS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@ESTIMATORS
+@given(estimator_quads(), st.floats(0.1, 10.0), st.integers(100, 400), st.integers(0, 2**16))
+def test_estimators_keep_their_one_sided_bounds_on_quads(case, width, n, seed):
+    a, quad = case
+    eig = np.linalg.eigvalsh(a @ a.T)  # nu = lambda_min(A A^T), L = lambda_max(A A^T)
+    box = (-width * np.ones(quad.dim), width * np.ones(quad.dim))
+    assert estimate_rlg(quad, box, n, seed=seed).value <= eig[-1] * (1.0 + SLACK)
+    assert estimate_rsi(quad, box, n, seed=seed).value >= eig[0] * (1.0 - SLACK)
+
+
+@ESTIMATORS
+@given(st.floats(0.01, 4.0), st.floats(4.5, 20.0), st.integers(100, 3000), st.integers(0, 2**16))
+def test_estimators_keep_their_one_sided_bounds_on_f3(beta, width, n, seed):
+    f3 = make_example_1d("f3", beta=beta)  # L = nu = 1
+    assert estimate_rlg(f3, (-width, width), n, seed=seed).value <= 1.0 + SLACK
+    assert estimate_rsi(f3, (-width, width), n, seed=seed).value >= 1.0 - SLACK
