@@ -331,7 +331,6 @@ def _cmd_appendix(args: argparse.Namespace, out: Path) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", default="out", help="output directory (default: ./out)")
-    sp.add_argument("--svg", action="store_true", help="emit an SVG chart")
     sp.add_argument("--config", default=None, help="JSON file with defaults for this command")
 
 
@@ -358,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="run a solver and write the trace")
     _add_solver_opts(sp)
+    sp.add_argument("--svg", action="store_true", help="emit an SVG chart of the trace")
     _add_common(sp)
     sp.set_defaults(func=_cmd_solve)
 
@@ -398,6 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="augmentation weight (default: 10 max|x_true|)")
     sp.add_argument("--h", default="auto")
     sp.add_argument("--max-iters", type=int, default=200000, dest="max_iters")
+    sp.add_argument("--svg", action="store_true", help="emit an SVG chart of the recovery")
     _add_common(sp)
     sp.set_defaults(func=_cmd_recover)
 

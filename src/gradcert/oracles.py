@@ -82,6 +82,12 @@ class Objective:
     ``eval(x) -> (f, grad)`` for a single point; ``eval_batch`` (optional)
     takes an ``(s, dim)`` array and returns ``((s,), (s, dim))``; the
     certify estimators and bound replays, and `finite_diff_check`, need it.
+    A row's ``eval_batch`` bits may depend on how many rows its batch has,
+    since BLAS picks its kernel by the product's size (and one row takes
+    numpy's matrix-vector product), so they may differ in the last bits
+    from a batch of other size and from ``eval``; a caller that needs
+    stable bits keeps its block sizes fixed, as the certify estimators'
+    ``_blocks`` do.
     ``project`` (optional) maps a point, or an ``(s, dim)`` batch, to the
     nearest minimizer. ``primal`` (optional, dual oracles only) maps a dual
     point to its primal point. ``extrapolate(x_next, x, beta)`` returns the
@@ -223,6 +229,11 @@ def make_quadratic_composite(a, b) -> Objective:
     point's content, so ``project`` of that same 1-D point takes ``A x``
     from there instead of a second product; the result has the bits of a
     fresh projection. Any other point, and any batch, is projected afresh.
+
+    ``eval_batch`` forms ``resid @ A`` for the whole batch, so a row's
+    gradient bits can depend on the batch's row count: on a 20x50 quad,
+    most of the first 1,000 rows of an 8,192-row batch differ in the last
+    bits from a 1,000-row batch of the same points (see `Objective`).
     """
     A = as_matrix(a)
     rhs = as_vector(b)

@@ -75,3 +75,32 @@ def test_gate_times_match_the_acceptance_suite():
     assert len(names) == len(re.findall(r"^def test_c\d\d", text, re.MULTILINE))
     log = "".join(f"\nACCEPTANCE {n}: PASS (0.500s) detail" for n in names)
     assert bench_record.gate_times(log) == {n: 0.5 for n in names}
+
+
+def _setup_pairs(parent, change):
+    """Pairs whose runs differ only in ``setup_s``."""
+    pairs = [{"seed": s, "parent": _run(20.0), "change": _run(20.0)} for s in range(len(parent))]
+    for pair, p, c in zip(pairs, parent, change):
+        pair["parent"]["metrics"]["setup_s"] = p
+        pair["change"]["metrics"]["setup_s"] = c
+    return pairs
+
+
+def test_worse_marks_a_median_beyond_the_bound():
+    parent = [0.30, 0.31, 0.29, 0.30, 0.30, 0.31, 0.29, 0.30, 0.30, 0.30]
+    summary = bench_record.summarize(_setup_pairs(parent, [1.3 * p for p in parent]), END_TO_END)
+    assert summary["setup_s"]["worse"] and not summary["setup_s"]["unresolved"]
+    summary = bench_record.summarize(_setup_pairs(parent, [1.2 * p for p in parent]), END_TO_END)
+    assert not summary["setup_s"]["worse"]
+    assert not any(s["worse"] or s["unresolved"] for s in summary.values())
+
+
+def test_unresolved_marks_a_parent_spread_beyond_the_bound():
+    # quartiles 0.2 and 0.4 around a median of 0.3: spread 0.67 > bound 0.25
+    parent = [0.1, 0.2, 0.2, 0.2, 0.3, 0.3, 0.4, 0.4, 0.4, 0.5]
+    summary = bench_record.summarize(_setup_pairs(parent, parent[::-1]), END_TO_END)["setup_s"]
+    assert summary["parent_spread"] > summary["bound"]
+    assert summary["unresolved"] and not summary["worse"]
+    # unless every run of the change reads better than every run of the parent
+    faster = bench_record.summarize(_setup_pairs(parent, [0.05] * 10), END_TO_END)["setup_s"]
+    assert not faster["unresolved"] and faster["gain_claimable"]

@@ -201,12 +201,34 @@ def test_recover_paper_test2_configuration(tmp_path):
     ET.parse(out / "recovery.svg")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--oracle", "f1", "--which", "rsi", "--box", "0", "10", "--samples", "200"),
+        ("verify", "--oracle", "quad:m=5,n=12,seed=1", "--max-iters", "50",
+         "--theorem", "thm2_linear"),
+        ("rates", "--input", "trace.csv", "--window", "0", "10"),
+        ("appendix", "--R", "1", "--nu", "0.5"),
+    ],
+)
+def test_svg_is_rejected_where_no_chart_is_drawn(tmp_path, capsys, argv):
+    # only solve and recover draw a chart; elsewhere --svg is a usage error
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--svg", "--out", str(out)) == 2
+    assert "unrecognized arguments: --svg" in capsys.readouterr().err
+    assert not out.exists()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"svg": True}))
+    assert run_cli(*argv, "--config", str(cfg_file), "--out", str(out)) == 2
+    assert "unknown config keys ['svg']" in capsys.readouterr().err
+
 def test_appendix_command(tmp_path):
     out = tmp_path / "app"
     assert run_cli("appendix", "--R", "1", "--nu", "0.5", "--out", str(out)) == 0
     payload = json.loads((out / "appendix.json").read_text())
     assert payload["min_value"] == pytest.approx(0.75, abs=1e-6)
     assert payload["closed_form"] == 0.75
+    assert "svg" not in json.loads((out / "config.json").read_text())
 
 
 def test_certify_command(tmp_path):

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+import gradcert.numkit as numkit
 
 from gradcert.numkit import (
     GaussianStream,
@@ -189,3 +193,82 @@ def test_stream_subset_uniform_and_sorted():
         counts[s2.subset(6, 2)] += 1
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 1 / 6) < 0.02)
+
+
+_SEEDS = (0, 1, 7919, 2**64 - 1)
+_BLOCK = 8192  # numkit._BLOCK when the digests were taken; the sizes straddle it
+_SIZES = (0, 1, 2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, (256, 512))
+
+
+def _plan(kind, s):
+    """(stream, draw) pairs of one kind of draw plan on the stream s."""
+    if kind == "normal":
+        for size in _SIZES:
+            t = GaussianStream(int(s.seed))
+            yield t, t.normal(size)
+    elif kind == "uniform":
+        for size in _SIZES:
+            t = GaussianStream(int(s.seed))
+            yield t, t.uniform(int(np.prod(size)))
+    elif kind == "spare":
+        for size in (1, 3, 2, _BLOCK, _BLOCK + 1, (3, 5), 0, _BLOCK - 1, 1):
+            yield s, s.normal(size)
+    elif kind == "integer_below":
+        for bound in (1, 2, 7, 512, 2**32 + 1, 2**63 + 1, 2**64):
+            yield s, np.array([s.integer_below(bound) for _ in range(5)], dtype=np.uint64)
+    elif kind == "subset":
+        for n, k in ((512, 25), (6, 2), (10, 10), (5, 0), (1, 1), (100_000, 40)):
+            yield s, s.subset(n, k)
+    elif kind == "skip":
+        for n, size in ((5, 7), (_BLOCK + 3, _BLOCK + 1), (1, 1), (0, 4)):
+            s.skip(n)
+            yield s, s.normal(size)
+            s.skip(n)
+            yield s, s.uniform(size)
+    elif kind == "split":
+        for i in (0, 3, 0x5E6, 2**64 - 1):
+            t = s.split(i)
+            yield t, t.normal(5)
+            yield t, t.uniform(_BLOCK + 1)
+            yield s, s.normal(3)
+
+
+def _digest(kind):
+    """SHA-256 of every draw of the plan over the seeds, with counter and spare after each."""
+    h = hashlib.sha256()
+    for seed in _SEEDS:
+        for s, a in _plan(kind, GaussianStream(seed)):
+            h.update(f"{a.dtype} {a.shape} {s._pos} {s._spare!r}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# taken with the whole-array stream of commit a9deb91, which this stream must reproduce
+_PINNED = {
+    "normal": "aa8049198cf57542d88aae4a49309db47767d494dfada4c67a01ba0311dc1e76",
+    "uniform": "1062eeba204e71edc6abe3afd7a84eebfb8551415d53123e82b32f736a1ce598",
+    "spare": "9cb5aad71ca920ecccfd72d542df97245e9df7e48877712c882d335799a4f2cb",
+    "integer_below": "1ee71455905088de7edc3a128586ff17eb039a56c6d1db25fa7f163c2f46200e",
+    "subset": "726dabc3c0d80a3539df192deccdeb788bb080557012ffc7781432fd977ec06e",
+    "skip": "f9424fb115cc8b80308103846f59dfbc6f2a725c127f603999724b5e7570ee6e",
+    "split": "5fb26ec1082d808440ad3bdaf5fdf2d37fbe576e18bca15664c6098e1e9c96f3",
+}
+
+
+def test_stream_digests_are_pinned():
+    assert {kind: _digest(kind) for kind in _PINNED} == _PINNED
+
+
+def _mixed_plan(seed):
+    s = GaussianStream(seed)
+    draws = [s.normal(1), s.normal(131), s.uniform(77), s.normal((7, 29)), s.subset(50, 5),
+             s.uniform(3), s.normal(3), s.split(9).normal(20)]
+    return b"".join(a.tobytes() for a in draws), s._pos, s._spare
+
+
+@pytest.mark.parametrize("block, few", [(2, 0), (6, 0), (64, 16), (1024, 200)])
+def test_stream_bits_do_not_depend_on_block_size(monkeypatch, block, few):
+    want = [_mixed_plan(seed) for seed in _SEEDS]
+    monkeypatch.setattr(numkit, "_BLOCK", block)
+    monkeypatch.setattr(numkit, "_FEW", few)
+    assert [_mixed_plan(seed) for seed in _SEEDS] == want

@@ -18,8 +18,11 @@ rounding and, up to 1024 points, bitwise the former prefix start. Both
 estimators, which work in row blocks, must return what their former
 whole-array forms return, bit for bit, and keep their one-sided bounds:
 `estimate_rlg` never above L, `estimate_rsi` never below lambda_min(A A^T).
+On random quads started at 10 N(0, I), thm1, thm2, thm3, thm4, thm6,
+lemma1 and lemma2 must pass at their theory stepsizes, each with at least
+one checked inequality.
 Moving the random stream's counter must skip exactly the draws passed
-over. Gradient
+over, and splitting a draw into several calls must give the whole draw. Gradient
 descent and Nesterov's scheme must match plain in-test loops bit for bit;
 the dampening sequence must satisfy its recursion; ``check_bounds``
 must place an injected violation at the right iteration; and
@@ -44,7 +47,7 @@ from gradcert.certify import (
     estimate_rlg,
     estimate_rsi,
 )
-from gradcert.numkit import GaussianStream, cholesky_solve
+from gradcert.numkit import _BLOCK, GaussianStream, cholesky_solve
 from gradcert.oracles import (
     _augl1_point,
     make_augl1_dual,
@@ -614,6 +617,19 @@ def test_stream_skip_passes_over_exactly_its_draws(seed, a, b):
 
 
 @PROPERTY
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 40) | st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1]), max_size=6),
+    st.sampled_from(["normal", "uniform"]),
+)
+def test_stream_draws_do_not_depend_on_call_chunking(seed, chunks, kind):
+    whole_stream, stream = GaussianStream(seed), GaussianStream(seed)
+    whole = getattr(whole_stream, kind)(sum(chunks))
+    parts = [getattr(stream, kind)(c) for c in chunks]
+    assert np.concatenate([whole[:0], *parts]).tobytes() == whole.tobytes()
+    assert (stream._pos, stream._spare) == (whole_stream._pos, whole_stream._spare)
+
+@PROPERTY
 @given(st.integers(0, 2**64 - 1), st.integers(1, 3 * _ROWS), st.integers(1, 3))
 def test_blocked_sweeps_draw_what_whole_sweeps_draw(seed, rows, sweeps):
     # estimate_rlg's pattern: one counter for the xa of a sweep, one for its xb
@@ -659,3 +675,35 @@ def test_estimators_keep_their_one_sided_bounds_on_f3(beta, width, n, seed):
     f3 = make_example_1d("f3", beta=beta)  # L = nu = 1
     assert estimate_rlg(f3, (-width, width), n, seed=seed).value <= 1.0 + SLACK
     assert estimate_rsi(f3, (-width, width), n, seed=seed).value >= 1.0 - SLACK
+
+
+@st.composite
+def theorem_quads(draw):
+    """(quad, x0): a consistent seeded m x n quad, 2 <= m < n <= 23, and a start 10 N(0, I)."""
+    n = draw(st.integers(3, 23))
+    m = draw(st.integers(2, n - 1))
+    stream = GaussianStream(draw(st.integers(0, 2**32 - 1)))
+    a = stream.normal((m, n))
+    return make_quadratic_composite(a, a @ stream.normal(n)), 10.0 * stream.normal(n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(theorem_quads())
+def test_theorem_checks_pass_at_their_theory_stepsizes(case):
+    # lemma3_growth stays out: near the roundoff floor it can report a
+    # violation on quads with few rows (ROADMAP item 1)
+    quad, x0 = case
+    big_r, nu = quad.constants.R, quad.constants.nu  # L = R on a quad
+    k_len = math.ceil(math.sqrt(8.0 * math.e * big_r / nu))
+    runs = [
+        (SolverConfig(1.0 / (2.0 * big_r), 300), ("thm2_linear", "lemma1_part2", "lemma2_combined")),
+        (SolverConfig(1.0 / big_r, 300), ("thm1_sublinear", "thm3_linear")),
+        (SolverConfig(1.0 / big_r, 300, variant="nesterov"), ("thm4_accel",)),
+        (SolverConfig(1.0 / big_r, 2 * k_len + 1, variant="restart_fixed", restart_every=k_len),
+         ("thm6_restart",)),
+    ]
+    for cfg, theorems in runs:
+        trace = run_solver(quad, x0, cfg)
+        for theorem in theorems:
+            report = check_bounds(trace, quad, theorem, cfg)
+            assert report.passed and report.n_checked > 0, report

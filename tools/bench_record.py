@@ -21,7 +21,11 @@ and how many pairs the change won. A gain is claimable only when every run
 exited 0 and passed its correctness check, no pair's change failed a larger
 share of its ops than its parent, the change won at least nine tenths of the
 pairs and the medians lie apart by more than the parent's interquartile
-distance.
+distance. Each metric is also marked ``worse`` when the change's median is
+worse than the parent's by more than the metric's bound, and
+``unresolved`` when the parent's own spread exceeds that bound, so that
+the pairs cannot tell a move within the bound from noise, unless every
+run of the change reads better than every run of the parent.
 
 Before its pairs, each run set also records, per side, each acceptance
 gate's time in seconds, read from the ``ACCEPTANCE`` lines of ``pytest
@@ -120,6 +124,10 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         # share by which the change's median is worse than the parent's (< 0: better)
         worse = (chg - par) / par * (-1 if higher else 1)
         parent_spread = spread(vals["parent"])
+        if higher:
+            all_better = min(vals["change"]) > max(vals["parent"])
+        else:
+            all_better = max(vals["change"]) < min(vals["parent"])
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -131,6 +139,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "change_wins": wins,
             "pairs": len(pairs),
             "gain_claimable": sound and wins >= 0.9 * len(pairs) and -worse > parent_spread,
+            "worse": worse > spec["bound"],
+            "unresolved": parent_spread > spec["bound"] and not all_better,
         }
     return out
 
@@ -182,7 +192,8 @@ def main(argv=None) -> int:
         print(f"{name}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
               f"(x{s['change_over_parent']:.3f}), change wins {s['change_wins']}/{s['pairs']}, "
               f"parent spread {s['parent_spread']:.3f}, bound {s['bound']}, "
-              f"gain claimable {s['gain_claimable']}")
+              f"gain claimable {s['gain_claimable']}, worse {s['worse']}, "
+              f"unresolved {s['unresolved']}")
     return 0 if run_set["sound"] else 1
 
 
