@@ -176,6 +176,15 @@ def test_stream_uniform_range():
     assert np.all((u > 0.0) & (u < 1.0))
 
 
+def test_stream_rejects_a_negative_size():
+    # -1 would otherwise slice an empty draw instead of failing
+    for shape in (-1, (-1,), (2, -1)):
+        with pytest.raises(ValueError):
+            GaussianStream(3).normal(shape)
+    with pytest.raises(ValueError):
+        GaussianStream(3).uniform(-1)
+
+
 def test_stream_split_differs():
     base = GaussianStream(10)
     assert not np.array_equal(base.split(1).normal(50), base.split(2).normal(50))
