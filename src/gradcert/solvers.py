@@ -31,6 +31,7 @@ __all__ = [
 
 VARIANTS = ("gd", "nesterov", "restart_fixed", "adaptive")
 POLICIES = ("restart", "skip")
+_TRACE_COLUMNS = ("k", "f", "fgap", "grad_norm", "dist_to_sol", "reset_event")
 
 _sqrt = math.sqrt  # bound locally: used on the per-iteration hot path
 
@@ -133,16 +134,21 @@ class SolverTrace:
         return self.f - self.f_star
 
     def to_csv(self) -> str:
-        """CSV text with columns k,f,fgap,grad_norm,dist_to_sol,reset_event."""
-        rows = ["k,f,fgap,grad_norm,dist_to_sol,reset_event\n"]
-        for i in range(len(self)):
-            gap = "" if self.f_star is None else repr(float(self.f[i] - self.f_star))
-            dist = "" if self.dist_to_sol is None else repr(float(self.dist_to_sol[i]))
-            rows.append(
-                f"{i},{float(self.f[i])!r},{gap},{float(self.grad_norm[i])!r},"
-                f"{dist},{self.reset_event[i]}\n"
-            )
-        return "".join(rows)
+        """CSV text with the columns of ``_TRACE_COLUMNS``, written by `_csv_text`."""
+        gap = None if self.f_star is None else self.f - self.f_star
+        return _csv_text(_TRACE_COLUMNS, (self.f, gap, self.grad_norm, self.dist_to_sol),
+                         self.reset_event)
+
+
+def _csv_text(header: tuple[str, ...], columns, events) -> str:
+    """CSV text: the ``header`` line, then per record its index k, the entry of
+    each of ``columns`` as the repr of a Python float (blank cells for a None
+    column) and its entry of ``events``."""
+    n = len(events)
+    cells = ([""] * n if c is None else map(repr, np.asarray(c, dtype=float).tolist())
+             for c in columns)
+    rows = zip(map(str, range(n)), *cells, events)
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def load_trace_csv(path) -> SolverTrace:
@@ -155,15 +161,16 @@ def load_trace_csv(path) -> SolverTrace:
     events: list[str] = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-        if header != "k,f,fgap,grad_norm,dist_to_sol,reset_event":
+        if header != ",".join(_TRACE_COLUMNS):
             raise ValueError(f"unrecognized trace header: {header!r}")
         for lineno, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split(",")
             if fields == [""]:
                 continue
             where = f"{path} line {lineno}"
-            if len(fields) != 6:
-                raise ValueError(f"{where}: expected 6 fields, got {len(fields)}")
+            if len(fields) != len(_TRACE_COLUMNS):
+                raise ValueError(
+                    f"{where}: expected {len(_TRACE_COLUMNS)} fields, got {len(fields)}")
             k_s, f_s, gap_s, gn_s, dist_s, ev = fields
             try:
                 int(k_s)
@@ -206,34 +213,28 @@ class _TraceBuilder:
     def __init__(self, oracle: Objective, callback: Callback | None, keep_iterates: bool):
         self.project = oracle.project
         self.callback = callback
-        self.f: list[float] = []
-        self.grad_norm: list[float] = []
-        self.dist: list[float] | None = [] if self.project is not None else None
-        self.events: list[str] = []
+        self.records: list[tuple[float, float, float | None, str]] = []
         self.iterates: list[np.ndarray] | None = [] if keep_iterates else None
 
     def push(self, x: np.ndarray, fv: float, g: np.ndarray, gnorm: float, event: str) -> None:
-        k = len(self.f)
-        self.f.append(float(fv))
-        self.grad_norm.append(gnorm)
-        if self.dist is not None:
+        k = len(self.records)
+        fv = float(fv)
+        dist = None
+        if self.project is not None:
             d = x - self.project(x)
-            self.dist.append(_sqrt(d.dot(d)))
-        self.events.append(event)
+            dist = _sqrt(d.dot(d))
+        self.records.append((fv, gnorm, dist, event))
         if self.iterates is not None:
             self.iterates.append(x.copy())
         if self.callback is not None:
-            self.callback(k, x, float(fv), g)
+            self.callback(k, x, fv, g)
 
     def repeat(self, x: np.ndarray, g: np.ndarray, count: int) -> None:
         """Append ``count`` repeats of the record just pushed for ``x``, each
         as `push` records it: values, a "none" event, a copy and a callback."""
-        k, fv = len(self.f), self.f[-1]
-        self.f.extend([fv] * count)
-        self.grad_norm.extend([self.grad_norm[-1]] * count)
-        if self.dist is not None:
-            self.dist.extend([self.dist[-1]] * count)
-        self.events.extend(["none"] * count)
+        k = len(self.records)
+        fv, gnorm, dist, _ = self.records[-1]
+        self.records.extend([(fv, gnorm, dist, "none")] * count)
         if self.iterates is not None:
             self.iterates.extend(x.copy() for _ in range(count))
         if self.callback is not None:
@@ -241,11 +242,12 @@ class _TraceBuilder:
                 self.callback(i, x, fv, g)
 
     def freeze(self, status: str, f_star: float | None, n_evals: int) -> SolverTrace:
+        f, grad_norm, dist, events = zip(*self.records)
         return SolverTrace(
-            f=np.array(self.f),
-            grad_norm=np.array(self.grad_norm),
-            dist_to_sol=None if self.dist is None else np.array(self.dist),
-            reset_event=tuple(self.events),
+            f=np.array(f),
+            grad_norm=np.array(grad_norm),
+            dist_to_sol=None if self.project is None else np.array(dist),
+            reset_event=events,
             status=status,
             f_star=f_star,
             iterates=None if self.iterates is None else tuple(self.iterates),
@@ -326,7 +328,7 @@ def run_solver(
             # epoch boundary: restart the scheme from the current iterate
             theta = 1.0
             y, g_y = x, g_x
-            tb.events[-1] = "restart"
+            tb.records[-1] = tb.records[-1][:3] + ("restart",)
         if g_y is None:
             f_y, g_y = evaluate(y)
             n_evals += 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .numkit import GaussianStream
 from .oracles import Objective, make_augl1_dual
-from .solvers import SolverConfig, SolverTrace, run_solver
+from .solvers import SolverConfig, SolverTrace, _csv_text, run_solver
 
 __all__ = [
     "SparseProblem",
@@ -89,14 +89,9 @@ class RecoveryResult:
 
     def to_csv(self) -> str:
         """CSV text with columns k,rel_error,primal_residual,reset_event."""
-        rows = ["k,rel_error,primal_residual,reset_event\n"]
-        for i in range(self.iters):
-            rel = "" if self.rel_error_curve is None else repr(float(self.rel_error_curve[i]))
-            rows.append(
-                f"{i},{rel},{float(self.primal_residual_curve[i])!r},"
-                f"{self.dual_trace.reset_event[i]}\n"
-            )
-        return "".join(rows)
+        return _csv_text(("k", "rel_error", "primal_residual", "reset_event"),
+                         (self.rel_error_curve, self.primal_residual_curve),
+                         self.dual_trace.reset_event)
 
 
 def gen_sparse_problem(
