@@ -13,6 +13,7 @@ traces.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,6 +33,9 @@ __all__ = [
 VARIANTS = ("gd", "nesterov", "restart_fixed", "adaptive")
 POLICIES = ("restart", "skip")
 _TRACE_COLUMNS = ("k", "f", "fgap", "grad_norm", "dist_to_sol", "reset_event")
+# the leading "#" line of a trace CSV; f_star is the repr of a Python float
+_RUN_LINE = re.compile(
+    r"# status=(\w+) f_star=(None|-?inf|nan|-?\d+(?:\.\d+)?(?:e[-+]\d+)?) n_evals=(None|\d+)")
 
 _sqrt = math.sqrt  # bound locally: used on the per-iteration hot path
 
@@ -107,8 +111,14 @@ class SolverTrace:
     boundaries ("restart") and adaptive reactions ("restart"/"skip").
     ``n_evals`` is the number of ``oracle.eval`` calls the run made (gd
     makes none after reaching a fixed point; see `run_solver`); it is None
-    for traces not produced by a solver run (hand-built or read back with
-    `load_trace_csv`).
+    for traces not produced by a solver run (hand-built, or read back with
+    `load_trace_csv` from a file that has no ``#`` run line).
+
+    `to_csv` writes every field but ``iterates``: the columns declared once
+    in ``_TRACE_COLUMNS``, after a leading ``#`` line with ``status``,
+    ``f_star`` and ``n_evals``, so all three survive the round trip through
+    `load_trace_csv`. A file written before that line existed still loads,
+    as status "max_iters" with ``n_evals`` None.
     """
 
     f: np.ndarray
@@ -134,10 +144,18 @@ class SolverTrace:
         return self.f - self.f_star
 
     def to_csv(self) -> str:
-        """CSV text with the columns of ``_TRACE_COLUMNS``, written by `_csv_text`."""
-        gap = None if self.f_star is None else self.f - self.f_star
-        return _csv_text(_TRACE_COLUMNS, (self.f, gap, self.grad_norm, self.dist_to_sol),
-                         self.reset_event)
+        """CSV text that `load_trace_csv` reads back into this trace, iterates aside.
+
+        A leading line ``# status=... f_star=... n_evals=...`` holds the
+        scalar fields (f_star as the repr of a Python float, or None); then
+        come the columns declared once in ``_TRACE_COLUMNS``, written by
+        `_csv_text`: k,f,fgap,grad_norm,dist_to_sol,reset_event.
+        """
+        f_star = None if self.f_star is None else float(self.f_star)
+        run = f"# status={self.status} f_star={f_star!r} n_evals={self.n_evals}\n"
+        gap = None if f_star is None else self.f - self.f_star
+        columns = (self.f, gap, self.grad_norm, self.dist_to_sol)
+        return run + _csv_text(_TRACE_COLUMNS, columns, self.reset_event)
 
 
 def _csv_text(header: tuple[str, ...], columns, events) -> str:
@@ -152,18 +170,29 @@ def _csv_text(header: tuple[str, ...], columns, events) -> str:
 
 
 def load_trace_csv(path) -> SolverTrace:
-    """Read a trace CSV in the `SolverTrace.to_csv` format (status is not stored).
+    """Read a trace CSV in the `SolverTrace.to_csv` format.
 
-    Raises ValueError naming the file and line of a row without 6 fields, with
-    a non-numeric field, or with fgap or dist_to_sol blank only on some rows.
+    The columns are checked against ``_TRACE_COLUMNS``. ``status``, ``f_star``
+    and ``n_evals`` come from the leading ``#`` run line; a file without it,
+    as written before that line existed, reads as status "max_iters" with
+    ``n_evals`` None and f_star as ``f[0] - fgap[0]`` (None if fgap is blank).
+    Raises ValueError naming the file and line of a malformed run line, of a
+    row without 6 fields, with a non-numeric field, or with fgap or
+    dist_to_sol blank only on some rows.
     """
     rows: list[tuple[float, float | None, float, float | None]] = []
     events: list[str] = []
+    run = None
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
+        if header.startswith("#"):
+            run = _RUN_LINE.fullmatch(header)
+            if run is None:
+                raise ValueError(f"{path} line 1: unrecognized run line {header!r}")
+            header = fh.readline().strip()
         if header != ",".join(_TRACE_COLUMNS):
             raise ValueError(f"unrecognized trace header: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(fh, start=3 if run else 2):
             fields = line.rstrip("\n").split(",")
             if fields == [""]:
                 continue
@@ -185,13 +214,20 @@ def load_trace_csv(path) -> SolverTrace:
     if not rows:
         raise ValueError(f"no records in {path}")
     f, gaps, gn, dist = zip(*rows)
+    if run is None:
+        status, f_star, n_evals = "max_iters", None if gaps[0] is None else f[0] - gaps[0], None
+    else:
+        status, f_star_s, n_evals_s = run.groups()
+        f_star = None if f_star_s == "None" else float(f_star_s)
+        n_evals = None if n_evals_s == "None" else int(n_evals_s)
     return SolverTrace(
         f=np.array(f),
         grad_norm=np.array(gn),
         dist_to_sol=None if dist[0] is None else np.array(dist),
         reset_event=tuple(events),
-        status="max_iters",
-        f_star=None if gaps[0] is None else f[0] - gaps[0],
+        status=status,
+        f_star=f_star,
+        n_evals=n_evals,
     )
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradcert.cli import main, oracle_from_id, resolve_stepsize
-from gradcert.solvers import SolverTrace
+from gradcert.solvers import SolverTrace, load_trace_csv
 
 
 def run_cli(*args):
@@ -141,6 +141,15 @@ def test_solve_writes_artifacts_and_reproduces(tmp_path):
     quad = oracle_from_id("quad:m=10,n=25,seed=7")
     assert cfg["h"] == pytest.approx(1.0 / (2 * quad.constants.R))
     assert cfg["max_iters"] == 100
+
+
+def test_solve_trace_reads_back_its_status_and_oracle_calls(tmp_path, capsys):
+    # gd reaches an exactly zero gradient at k = 1178 on this quad
+    assert run_cli("solve", "--oracle", "quad:m=20,n=50,seed=19013", "--variant", "gd",
+                   "--h", "auto", "--max-iters", "2000", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.startswith("status=tol_reached records=1179 ")
+    back = load_trace_csv(tmp_path / "trace.csv")
+    assert (back.status, len(back), back.n_evals, back.f_star) == ("tol_reached", 1179, 1179, 0.0)
 
 
 def test_solve_svg_is_wellformed(tmp_path):

@@ -20,7 +20,8 @@ whole-array forms return, bit for bit, and keep their one-sided bounds:
 `estimate_rlg` never above L, `estimate_rsi` never below lambda_min(A A^T).
 On random quads started at 10 N(0, I), thm1, thm2, thm3, thm4, thm6,
 lemma1 and lemma2 must pass at their theory stepsizes, each with at least
-one checked inequality.
+one checked inequality. Reading back a trace's CSV text must give the
+trace again, iterates aside, bit for bit.
 Moving the random stream's counter must skip exactly the draws passed
 over, and splitting a draw into several calls must give the whole draw. Gradient
 descent and Nesterov's scheme must match plain in-test loops bit for bit;
@@ -55,7 +56,7 @@ from gradcert.oracles import (
     make_quadratic_composite,
     shrink,
 )
-from gradcert.solvers import SolverConfig, SolverTrace, run_solver, theta_step
+from gradcert.solvers import SolverConfig, SolverTrace, load_trace_csv, run_solver, theta_step
 from gradcert.sparse_recovery import gen_sparse_problem
 
 SLACK = 1e-9
@@ -707,3 +708,53 @@ def test_theorem_checks_pass_at_their_theory_stepsizes(case):
         for theorem in theorems:
             report = check_bounds(trace, quad, theorem, cfg)
             assert report.passed and report.n_checked > 0, report
+
+
+# repr writes every NaN as "nan", so the canonical NaN is the one a CSV can carry
+_CSV_FLOATS = st.floats(allow_nan=False) | st.just(math.nan)
+
+
+@st.composite
+def csv_traces(draw):
+    """A hand-built trace of 1-60 records over every float, event, status and optional field."""
+    n = draw(st.integers(1, 60))
+    column = st.lists(_CSV_FLOATS, min_size=n, max_size=n).map(np.array)
+    return SolverTrace(
+        f=draw(column),
+        grad_norm=draw(column),
+        dist_to_sol=draw(st.none() | column),
+        reset_event=tuple(draw(st.lists(st.sampled_from(["none", "restart", "skip"]),
+                                        min_size=n, max_size=n))),
+        status=draw(st.sampled_from(["max_iters", "tol_reached", "diverged"])),
+        f_star=draw(st.none() | _CSV_FLOATS),
+        n_evals=draw(st.none() | st.integers(0, 10**9)),
+    )
+
+
+def _assert_reads_back(trace, path):
+    path.write_text(trace.to_csv(), encoding="ascii")
+    back = load_trace_csv(path)
+
+    def bits(value):
+        return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+    for name in ("f", "grad_norm", "dist_to_sol", "f_star"):
+        assert bits(getattr(back, name)) == bits(getattr(trace, name)), name
+    assert back.reset_event == trace.reset_event
+    assert (back.status, back.n_evals, back.iterates) == (trace.status, trace.n_evals, None)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(csv_traces())
+def test_hand_built_trace_reads_back_from_its_csv(tmp_path_factory, trace):
+    _assert_reads_back(trace, tmp_path_factory.getbasetemp() / "roundtrip.csv")
+
+
+@pytest.mark.parametrize(
+    "variant, extra",
+    [("gd", {}), ("nesterov", {}), ("restart_fixed", {"restart_every": 25}),
+     ("adaptive", {"policy": "restart"}), ("adaptive", {"policy": "skip"})],
+)
+def test_solver_trace_reads_back_from_its_csv(tmp_path, quad_20x50, variant, extra):
+    cfg = SolverConfig(1.0 / quad_20x50.constants.R, 300, variant=variant, **extra)
+    _assert_reads_back(run_solver(quad_20x50, np.ones(50), cfg), tmp_path / "trace.csv")

@@ -363,7 +363,26 @@ def test_trace_csv_roundtrip(tmp_path, quad_20x50):
     assert back.reset_event == tr.reset_event
     assert back.f_star == tr.f_star
     assert tr.n_evals == len(tr)
-    assert back.n_evals is None  # the CSV does not carry the oracle-call count
+    assert back.n_evals == tr.n_evals and back.status == tr.status
+    # a file written before the "#" run line reads as it always did
+    path.write_text(tr.to_csv().split("\n", 1)[1], encoding="ascii")
+    old = load_trace_csv(path)
+    assert (old.status, old.n_evals) == ("max_iters", None)
+    assert old.f_star == old.f[0] - (tr.f[0] - tr.f_star)
+    assert np.array_equal(old.f, tr.f) and old.reset_event == tr.reset_event
+
+
+@pytest.mark.parametrize(
+    "run_line",
+    ["# status=max_iters", "# status=max_iters f_star=half n_evals=3",
+     "# status=max_iters f_star=0.5 n_evals=-1", "#status=max_iters f_star=0.5 n_evals=3"],
+)
+def test_load_trace_csv_rejects_malformed_run_line(tmp_path, run_line):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{run_line}\nk,f,fgap,grad_norm,dist_to_sol,reset_event\n0,1.0,,2.0,,none\n")
+    with pytest.raises(ValueError) as info:
+        load_trace_csv(path)
+    assert str(info.value) == f"{path} line 1: unrecognized run line {run_line!r}"
 
 
 @pytest.mark.parametrize(
@@ -394,8 +413,9 @@ def test_trace_csv_header_and_blanks():
     cfg = SolverConfig(stepsize_h=1.0 / dual.constants.L, max_iters=5, variant="gd")
     tr = run_solver(dual, np.zeros(3), cfg)
     lines = tr.to_csv().splitlines()
-    assert lines[0] == "k,f,fgap,grad_norm,dist_to_sol,reset_event"
-    first = lines[1].split(",")
+    assert lines[0] == "# status=max_iters f_star=None n_evals=6"
+    assert lines[1] == "k,f,fgap,grad_norm,dist_to_sol,reset_event"
+    first = lines[2].split(",")
     assert first[2] == "" and first[4] == ""  # fgap and dist blank
 
 
@@ -411,11 +431,13 @@ def test_trace_csv_text_is_pinned():
         )
 
     assert trace(0.5, np.array([3.0, 1e-20])).to_csv() == (
+        "# status=max_iters f_star=0.5 n_evals=None\n"
         "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
         "0,1.5,1.0,2.0,3.0,none\n"
         "1,0.1,-0.4,0.3333333333333333,1e-20,restart\n"
     )
     assert trace(None, None).to_csv() == (
+        "# status=max_iters f_star=None n_evals=None\n"
         "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
         "0,1.5,,2.0,,none\n"
         "1,0.1,,0.3333333333333333,,restart\n"
