@@ -271,9 +271,14 @@ class GaussianStream:
         return buf[:n].reshape(shape)
 
     def integer_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection (no modulo bias)."""
+        """Uniform integer in [0, bound) by rejection (no modulo bias).
+
+        ``bound`` may be at most 2**64, where the draw is the next raw word.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            raise ValueError(f"bound {bound} exceeds 2**64, the range of one raw word")
         span = (1 << 64) - ((1 << 64) % bound)
         while True:
             word = self._word()

@@ -185,6 +185,15 @@ def test_stream_rejects_a_negative_size():
         GaussianStream(3).uniform(-1)
 
 
+def test_stream_integer_below_spans_at_most_one_word():
+    # above 2**64 no word would pass the rejection test, so the draw never ended
+    with pytest.raises(ValueError, match=r"bound 18446744073709551617 exceeds 2\*\*64"):
+        GaussianStream(1).integer_below(2**64 + 1)
+    s, raw = GaussianStream(1), GaussianStream(1)
+    assert [s.integer_below(2**64) for _ in range(3)] == [raw._word() for _ in range(3)]
+    assert s._pos == raw._pos == 3
+
+
 def test_stream_split_differs():
     base = GaussianStream(10)
     assert not np.array_equal(base.split(1).normal(50), base.split(2).normal(50))
