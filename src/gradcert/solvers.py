@@ -33,7 +33,6 @@ __all__ = [
 VARIANTS = ("gd", "nesterov", "restart_fixed", "adaptive")
 POLICIES = ("restart", "skip")
 _TRACE_COLUMNS = ("k", "f", "fgap", "grad_norm", "dist_to_sol", "reset_event")
-# the leading "#" line of a trace CSV; f_star is the repr of a Python float
 _RUN_LINE = re.compile(
     r"# status=(\w+) f_star=(None|-?inf|nan|-?\d+(?:\.\d+)?(?:e[-+]\d+)?) n_evals=(None|\d+)")
 
@@ -113,12 +112,10 @@ class SolverTrace:
     makes none after reaching a fixed point; see `run_solver`); it is None
     for traces not produced by a solver run (hand-built, or read back with
     `load_trace_csv` from a file that has no ``#`` run line).
-
-    `to_csv` writes every field but ``iterates``: the columns declared once
-    in ``_TRACE_COLUMNS``, after a leading ``#`` line with ``status``,
-    ``f_star`` and ``n_evals``, so all three survive the round trip through
-    `load_trace_csv`. A file written before that line existed still loads,
-    as status "max_iters" with ``n_evals`` None.
+    `to_csv` writes every field but ``iterates``, with the columns declared
+    once in ``_TRACE_COLUMNS`` and a leading ``#`` line that carries
+    ``status``, ``f_star`` and ``n_evals`` through `load_trace_csv`; a file
+    without that line still loads, as status "max_iters", ``n_evals`` None.
     """
 
     f: np.ndarray
@@ -144,12 +141,11 @@ class SolverTrace:
         return self.f - self.f_star
 
     def to_csv(self) -> str:
-        """CSV text that `load_trace_csv` reads back into this trace, iterates aside.
+        """CSV text that `load_trace_csv` reads back, every field but ``iterates``.
 
-        A leading line ``# status=... f_star=... n_evals=...`` holds the
-        scalar fields (f_star as the repr of a Python float, or None); then
-        come the columns declared once in ``_TRACE_COLUMNS``, written by
-        `_csv_text`: k,f,fgap,grad_norm,dist_to_sol,reset_event.
+        The columns are those of ``_TRACE_COLUMNS``; a leading ``#`` line
+        carries status, f_star (the repr of a Python float, or None) and
+        n_evals. Files written before that line existed load without it.
         """
         f_star = None if self.f_star is None else float(self.f_star)
         run = f"# status={self.status} f_star={f_star!r} n_evals={self.n_evals}\n"
