@@ -166,13 +166,18 @@ def _blocks(n: int):
 
 
 def _sample_blocks(oracle: Objective, domain, n: int, seed: int):
-    """n sample points in the box by row blocks: a uniform grid in 1-D, uniform draws else."""
+    """n sample points in the box by row blocks: a uniform grid in 1-D, uniform draws else.
+    A 1-D block is its rows of ``np.linspace(lo, hi, n)``, computed as numpy does."""
     lo, hi = _box(domain, oracle.dim)
-    grid = np.linspace(lo[0], hi[0], n).reshape(-1, 1) if oracle.dim == 1 else None
+    step = (hi[0] - lo[0]) / (n - 1)
     stream = GaussianStream(seed)
     for r0, r1 in _blocks(n):
-        if grid is not None:
-            yield grid[r0:r1]
+        if oracle.dim == 1:
+            k = np.arange(r0, r1, dtype=np.float64)
+            pts = (k * step if step else k / (n - 1) * (hi[0] - lo[0])) + lo[0]  # 0: subnormal
+            if r1 == n:
+                pts[-1] = hi[0]
+            yield pts.reshape(-1, 1)
         else:
             yield lo + stream.uniform((r1 - r0) * oracle.dim).reshape(-1, oracle.dim) * (hi - lo)
 
@@ -201,7 +206,7 @@ def estimate_rsi(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
     Samples with ``||x - x_prj|| <= 1e-8`` (inside or hugging the solution
     set) and samples with non-finite gradients are excluded. The sampled
     minimum can only over-estimate the true infimum. It holds one block of
-    samples at a time (and the n-point grid in 1-D), whatever ``n_samples``.
+    samples at a time, whatever ``n_samples``.
     """
     if oracle.project is None:
         raise ValueError("secant estimation needs an oracle with a projection")

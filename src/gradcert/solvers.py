@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,10 +109,11 @@ class SolverTrace:
     ``dist_to_sol`` is present only when the oracle has a projection;
     ``iterates`` only when the run kept them. ``reset_event`` marks epoch
     boundaries ("restart") and adaptive reactions ("restart"/"skip").
-    ``n_evals`` is the number of ``oracle.eval`` calls the run made (gd
-    makes none after reaching a fixed point; see `run_solver`); it is None
-    for traces not produced by a solver run (hand-built, or read back with
-    `load_trace_csv` from a file that has no ``#`` run line).
+    A run stores 8 bytes per value and per event (a shared string's pointer),
+    about 32 bytes per record, plus the iterates it keeps. ``n_evals`` is
+    the number of ``oracle.eval`` calls the run made (gd makes none after a
+    fixed point; see `run_solver`); None for traces not made by a solver run
+    (hand-built, or loaded from a file without the ``#`` run line).
     `to_csv` writes every field but ``iterates``, with the columns declared
     once in ``_TRACE_COLUMNS`` and a leading ``#`` line that carries
     ``status``, ``f_star`` and ``n_evals`` through `load_trace_csv`; a file
@@ -245,17 +247,19 @@ class _TraceBuilder:
     def __init__(self, oracle: Objective, callback: Callback | None, keep_iterates: bool):
         self.project = oracle.project
         self.callback = callback
-        self.records: list[tuple[float, float, float | None, str]] = []
+        self.f, self.grad_norm, self.dist = array("d"), array("d"), array("d")
+        self.events: list[str] = []
         self.iterates: list[np.ndarray] | None = [] if keep_iterates else None
 
     def push(self, x: np.ndarray, fv: float, g: np.ndarray, gnorm: float, event: str) -> None:
-        k = len(self.records)
+        k = len(self.events)
         fv = float(fv)
-        dist = None
+        self.f.append(fv)
+        self.grad_norm.append(gnorm)
         if self.project is not None:
             d = x - self.project(x)
-            dist = _sqrt(d.dot(d))
-        self.records.append((fv, gnorm, dist, event))
+            self.dist.append(_sqrt(d.dot(d)))
+        self.events.append(event)
         if self.iterates is not None:
             self.iterates.append(x.copy())
         if self.callback is not None:
@@ -264,22 +268,22 @@ class _TraceBuilder:
     def repeat(self, x: np.ndarray, g: np.ndarray, count: int) -> None:
         """Append ``count`` repeats of the record just pushed for ``x``, each
         as `push` records it: values, a "none" event, a copy and a callback."""
-        k = len(self.records)
-        fv, gnorm, dist, _ = self.records[-1]
-        self.records.extend([(fv, gnorm, dist, "none")] * count)
+        k = len(self.events)
+        for buf in (self.f, self.grad_norm, self.dist):
+            buf.extend(buf[-1:] * count)
+        self.events.extend(["none"] * count)
         if self.iterates is not None:
             self.iterates.extend(x.copy() for _ in range(count))
         if self.callback is not None:
             for i in range(k, k + count):
-                self.callback(i, x, fv, g)
+                self.callback(i, x, self.f[-1], g)
 
     def freeze(self, status: str, f_star: float | None, n_evals: int) -> SolverTrace:
-        f, grad_norm, dist, events = zip(*self.records)
         return SolverTrace(
-            f=np.array(f),
-            grad_norm=np.array(grad_norm),
-            dist_to_sol=None if self.project is None else np.array(dist),
-            reset_event=events,
+            f=np.frombuffer(self.f),
+            grad_norm=np.frombuffer(self.grad_norm),
+            dist_to_sol=None if self.project is None else np.frombuffer(self.dist),
+            reset_event=tuple(self.events),
             status=status,
             f_star=f_star,
             iterates=None if self.iterates is None else tuple(self.iterates),
@@ -360,7 +364,7 @@ def run_solver(
             # epoch boundary: restart the scheme from the current iterate
             theta = 1.0
             y, g_y = x, g_x
-            tb.records[-1] = tb.records[-1][:3] + ("restart",)
+            tb.events[-1] = "restart"
         if g_y is None:
             f_y, g_y = evaluate(y)
             n_evals += 1

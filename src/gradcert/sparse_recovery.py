@@ -9,6 +9,7 @@ objective; the primal iterate falls out of each dual point y as
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,7 +175,7 @@ def recover(
     )
 
     x_norm = float(np.linalg.norm(problem.x_true))
-    rel_curve: list[float] | None = [] if x_norm > 0 else None
+    rel_curve = array("d") if x_norm > 0 else None
     last_primal = np.zeros(problem.n)
 
     primal_of, x_true = oracle.primal, problem.x_true
@@ -189,7 +190,7 @@ def recover(
     trace = run_solver(oracle, np.zeros(problem.m), cfg, callback=observe, keep_iterates=False)
     return RecoveryResult(
         x_final=last_primal.copy(),
-        rel_error_curve=None if rel_curve is None else np.array(rel_curve),
+        rel_error_curve=None if rel_curve is None else np.frombuffer(rel_curve),
         primal_residual_curve=trace.grad_norm.copy(),
         iters=len(trace),
         variant=variant,

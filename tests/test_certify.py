@@ -8,6 +8,8 @@ import pytest
 
 from gradcert.certify import (
     BoundReport,
+    _ROWS,
+    _sample_blocks,
     appendix_grid,
     check_bounds,
     converse_secant,
@@ -276,6 +278,15 @@ def test_estimators_hold_one_block_of_samples():
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("box", [(0.0, 10.0), (-5.0, 5.0), (-1.0, 1.0 / 3.0), (0.0, 5e-324)])
+@pytest.mark.parametrize("n", [100, 8191, 8192, 8193, 10**5, 123457])
+def test_grid_blocks_are_the_linspace_rows(box, n):
+    # (0, 5e-324) has a step that rounds to 0, where numpy divides first
+    blocks = list(_sample_blocks(make_example_1d("f3", beta=1.0), box, n, 0))
+    assert all(b.shape[0] < 2 * _ROWS for b in blocks)
+    assert np.concatenate(blocks)[:, 0].tobytes() == np.linspace(*box, n).tobytes()
 
 
 def test_certify_needs_eval_batch():

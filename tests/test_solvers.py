@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -10,6 +11,7 @@ from gradcert.oracles import Objective, make_example_1d, make_quadratic_composit
 from gradcert.solvers import (
     SolverConfig,
     SolverTrace,
+    _TraceBuilder,
     load_trace_csv,
     run_solver,
     theta_step,
@@ -649,3 +651,23 @@ def test_accelerated_runs_keep_their_oracle_calls(variant, extra, n_evals):
     cfg = SolverConfig(1.0 / quad.constants.R, 1000, variant=variant, **extra)
     tr = run_solver(quad, 100.0 * np.ones(50), cfg, keep_iterates=False)
     assert len(tr) == 1001 and tr.n_evals == n_evals
+
+
+def test_trace_builder_stores_8_bytes_per_value():
+    # f, grad_norm and the event pointer take 24 B a record, about 32 B with
+    # the buffers' spare room and the frozen event tuple; a tuple of boxed
+    # floats per record took 224 B here
+    n = 100_001
+    oracle = dataclasses.replace(make_example_1d("f3", beta=1.0), project=None)
+    x, g = np.array([2.0]), np.array([1.0])
+    tracemalloc.start()
+    try:
+        tb = _TraceBuilder(oracle, None, keep_iterates=False)
+        for i in range(n):
+            tb.push(x, i + 0.5, g, i + 0.25, "none")
+        tr = tb.freeze("max_iters", 0.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == n and tr.f[-1] == n - 0.5 and tr.grad_norm[-1] == n - 0.75
+    assert peak <= 40 * n
