@@ -14,7 +14,6 @@ from .oracles import (
     KnownConstants,
     Objective,
     compose_constants,
-    finite_diff_check,
     make_augl1_dual,
     make_example_1d,
     make_quadratic_composite,

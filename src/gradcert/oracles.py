@@ -40,7 +40,6 @@ __all__ = [
     "make_quadratic_composite",
     "make_augl1_dual",
     "compose_constants",
-    "finite_diff_check",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -81,7 +80,7 @@ class Objective:
 
     ``eval(x) -> (f, grad)`` for a single point; ``eval_batch`` (optional)
     takes an ``(s, dim)`` array and returns ``((s,), (s, dim))``; the
-    certify estimators and bound replays, and `finite_diff_check`, need it.
+    certify estimators and bound replays need it.
     A row's ``eval_batch`` bits may depend on how many rows its batch has,
     since BLAS picks its kernel by the product's size (and one row takes
     numpy's matrix-vector product), so they may differ in the last bits
@@ -443,31 +442,3 @@ def compose_constants(g_constants: KnownConstants, a, mode: str) -> KnownConstan
     if low is None:
         raise ValueError("A^T A has no strictly positive eigenvalue")
     return KnownConstants(L=g_constants.L * summary.lambda_max, nu=g_constants.nu * low)
-
-
-def finite_diff_check(oracle: Objective, points) -> float:
-    """Worst relative error between the oracle gradient and central differences.
-
-    Uses step ``1e-6 * (1 + ||x||)`` per coordinate, evaluating the 2 dim
-    perturbed points of each sample in one ``eval_batch`` call. Callers are
-    responsible for keeping sample points away from gradient kinks (e.g. at
-    least 1e-3 from any soft-threshold boundary).
-    """
-    if oracle.eval_batch is None:
-        raise ValueError(f"finite_diff_check needs eval_batch; oracle {oracle.name!r} has none")
-    worst = 0.0
-    idx = np.arange(oracle.dim)
-    for p in points:
-        x = as_vector(p)
-        if x.shape[0] != oracle.dim:
-            raise ValueError(f"point of dim {x.shape[0]} fed to oracle of dim {oracle.dim}")
-        _, g = oracle.eval(x)
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        pert = np.repeat(x[None, :], 2 * oracle.dim, axis=0)
-        pert[2 * idx, idx] += h
-        pert[2 * idx + 1, idx] -= h
-        vals, _ = oracle.eval_batch(pert)
-        fd = (vals[0::2] - vals[1::2]) / (2.0 * h)
-        rel = float(np.linalg.norm(fd - g)) / max(1.0, float(np.linalg.norm(g)))
-        worst = max(worst, rel)
-    return worst

@@ -20,7 +20,6 @@ from gradcert.certify import (
 )
 from gradcert.numkit import GaussianStream
 from gradcert.oracles import (
-    finite_diff_check,
     make_example_1d,
     make_quadratic_composite,
 )
@@ -30,7 +29,7 @@ from gradcert.solvers import (
     theta_step,
 )
 from gradcert.sparse_recovery import gen_sparse_problem, recover
-from conftest import sample_avoiding, seeded_quad
+from conftest import finite_diff_check, sample_avoiding, seeded_quad
 
 SLACK = 1.0 + 1e-9
 SQRT2 = math.sqrt(2.0)

@@ -9,13 +9,12 @@ from gradcert.numkit import GaussianStream, sym_eig_summary
 from gradcert.oracles import (
     KnownConstants,
     compose_constants,
-    finite_diff_check,
     make_augl1_dual,
     make_example_1d,
     make_quadratic_composite,
     shrink,
 )
-from conftest import sample_avoiding, seeded_quad
+from conftest import finite_diff_check, sample_avoiding, seeded_quad
 
 SQRT2 = math.sqrt(2.0)
 F1_NU = 2.0 / (4.0 - SQRT2)
