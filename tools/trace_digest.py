@@ -4,7 +4,8 @@ Usage, from the root of a checkout:
 
     python3 tools/trace_digest.py
 
-It prints one line per set, ``<set> <sha256>``, in a few seconds. Each digest
+It prints one line per set, ``<set> <sha256>``, in a few seconds; the
+``certify`` line adds ``n_evals=<total>``. Each digest
 covers the raw bytes of every array and the repr of every scalar field, so a
 change to how traces are written or read cannot hide a moved bit:
 
@@ -16,7 +17,14 @@ change to how traces are written or read cannot hide a moved bit:
   and ``x`` drawn from ``GaussianStream(s)``, s = 11-15, run from 0 under each
   ``SolverConfig.variant`` (adaptive under both policies) at its theory
   stepsize; every trace field, ``dist_to_sol``, ``f_star`` and the iterates
-  included.
+  included;
+- ``certify``: the 8 solver runs of one ``perfbench`` ``certify`` cycle
+  (``gd`` for thm2, thm3, thm1 and lemma2, ``nesterov``, ``restart_fixed``
+  and both adaptive policies, up to 10,001 records each), built here as
+  the workload builds them, on its quads 0-3 of workload seeds 1, 2 and
+  7919; every trace field but ``n_evals``, the iterates where the run keeps
+  them. The total of ``n_evals`` is printed beside the digest, so a change
+  that only skips oracle calls keeps the digest.
 """
 
 from __future__ import annotations
@@ -85,9 +93,48 @@ def quad_digest() -> str:
     return h.hexdigest()
 
 
+def _certify_runs(quad, grad0: float):
+    """The workload's (x0, config, keep_iterates) of each solver run on one quad."""
+    nu, big_r, lip = quad.constants.nu, quad.constants.R, quad.constants.L
+    zeros, ones = np.zeros(quad.dim), np.ones(quad.dim)
+    k_len = math.ceil(math.sqrt(8.0 * math.e * big_r / nu))
+    tol = 1e-6 * grad0
+    cfg = SolverConfig
+    return [
+        (zeros, cfg(1.0 / (2.0 * big_r), 4000), False),
+        (zeros, cfg(1.0 / lip, 2500), False),
+        (100.0 * ones, cfg(1.0 / big_r, 10_000), False),
+        (zeros, cfg(1.0 / big_r, 5000, variant="nesterov"), False),
+        (zeros, cfg(1.0 / big_r, 20 * k_len + 1, variant="restart_fixed", restart_every=k_len),
+         False),
+        (zeros, cfg(1.0 / big_r, 2000, tol, "adaptive", policy="restart"), False),
+        (zeros, cfg(1.0 / big_r, 2000, tol, "adaptive", policy="skip"), False),
+        (ones, cfg(1.0 / (2.0 * big_r), 300), True),
+    ]
+
+
+def certify_digest() -> tuple[str, int]:
+    h = hashlib.sha256()
+    n_evals = 0
+    for seed in (1, 2, 7919):
+        for i in range(4):
+            stream = GaussianStream(seed * 1000 + i)
+            a = stream.normal((20, 50))
+            b = a @ stream.normal(50)
+            quad = make_quadratic_composite(a, b)
+            for x0, cfg, keep in _certify_runs(quad, float(np.linalg.norm(a.T @ b))):
+                tr = run_solver(quad, x0, cfg, keep_iterates=keep)
+                _feed(h, cfg, tr.f, tr.grad_norm, tr.dist_to_sol, tr.reset_event, tr.status,
+                      tr.f_star, *(tr.iterates or ()))
+                n_evals += tr.n_evals
+    return h.hexdigest(), n_evals
+
+
 def main() -> None:
     print("recover", recover_digest())
     print("quad", quad_digest())
+    digest, n_evals = certify_digest()
+    print("certify", digest, f"n_evals={n_evals}")
 
 
 if __name__ == "__main__":
