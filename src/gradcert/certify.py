@@ -174,7 +174,7 @@ def _sample_blocks(oracle: Objective, domain, n: int, seed: int):
     for r0, r1 in _blocks(n):
         if oracle.dim == 1:
             k = np.arange(r0, r1, dtype=np.float64)
-            pts = (k * step if step else k / (n - 1) * (hi[0] - lo[0])) + lo[0]  # 0: subnormal
+            pts = (k * step if step else k / (n - 1) * (hi[0] - lo[0])) + lo[0]  # subnormal box
             if r1 == n:
                 pts[-1] = hi[0]
             yield pts.reshape(-1, 1)
