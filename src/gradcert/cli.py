@@ -114,10 +114,16 @@ def resolve_stepsize(oracle: Objective, variant: str, h_arg: str) -> float:
 # artifact writers
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text) -> None:
+    """Write a str, or str blocks held one at a time, via ``<name>.tmp`` (removed on error)."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="ascii")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
@@ -213,7 +219,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
     args.h = cfg.stepsize_h  # echo the resolved value
     trace = run_solver(oracle, _start_point(args, oracle.dim), cfg, keep_iterates=False)
     _echo_config(out, args)
-    _write_atomic(out / "trace.csv", trace.to_csv())
+    _write_atomic(out / "trace.csv", trace.csv_blocks())
     if args.svg:
         series = {}
         if trace.f_star is not None:
@@ -261,7 +267,7 @@ def _cmd_verify(args: argparse.Namespace, out: Path) -> int:
     report = check_bounds(trace, oracle, args.theorem, cfg)
     _echo_config(out, args)
     _write_atomic(out / "report.jsonl", report.to_json() + "\n")
-    _write_atomic(out / "trace.csv", trace.to_csv())
+    _write_atomic(out / "trace.csv", trace.csv_blocks())
     print(report.to_json())
     if trace.status == "diverged":
         return EXIT_NUMERIC
@@ -285,7 +291,7 @@ def _cmd_recover(args: argparse.Namespace, out: Path) -> int:
     h = None if args.h == "auto" else float(args.h)
     result = recover(problem, args.variant, h=h, max_iters=args.max_iters)
     _echo_config(out, args)
-    _write_atomic(out / "recovery.csv", result.to_csv())
+    _write_atomic(out / "recovery.csv", result.csv_blocks())
     summary = {
         "variant": result.variant,
         "iters": result.iters,

@@ -94,8 +94,8 @@ def gram_spectral_norm(a, rel_tol: float = 1e-10, max_iters: int = 100_000) -> P
 
 
 def _check_symmetric(S: np.ndarray) -> None:
-    scale = max(1.0, float(np.max(np.abs(S))))
-    asym = float(np.max(np.abs(S - S.T)))
+    scale = max(1.0, float(max(S.max(), -S.min())))  # max |S|, without an |S| temporary
+    asym = float(np.max(S - S.T))  # max |S - S^T|, since S - S^T is antisymmetric
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 
@@ -139,7 +139,9 @@ def sym_eig_summary(s) -> SpectralSummary:
 
 def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L L^T z = b`` for a lower-triangular L; b may be (n,) or (n, k)."""
-    return np.linalg.solve(L.T, np.linalg.solve(L, b))
+    y = np.linalg.solve(L, b)
+    del b  # so that a right-hand side built for this call alone is freed before the next solve
+    return np.linalg.solve(L.T, y)
 
 
 _U64 = np.uint64

@@ -232,7 +232,9 @@ def make_quadratic_composite(a, b) -> Objective:
     ``eval_batch`` forms ``resid @ A`` for the whole batch, so a row's
     gradient bits can depend on the batch's row count: on a 20x50 quad,
     most of the first 1,000 rows of an 8,192-row batch differ in the last
-    bits from a 1,000-row batch of the same points (see `Objective`).
+    bits from a 1,000-row batch of the same points (see `Objective`). The
+    oracle holds ``A``, ``b``, the n x m projector and the latest ``(point,
+    A point)``; the build frees each m x m temporary once it is used.
     """
     A = as_matrix(a)
     rhs = as_vector(b)
@@ -240,7 +242,8 @@ def make_quadratic_composite(a, b) -> Objective:
     if rhs.shape[0] != m:
         raise ValueError(f"matrix is {m}x{n} but b has length {rhs.shape[0]}")
     gram = A @ A.T
-    gram = 0.5 * (gram + gram.T)
+    gram += gram.T
+    gram *= 0.5
     summary = sym_eig_summary(gram)
     if summary.lambda_min <= 1e-12 * summary.lambda_max:
         raise ValueError(
@@ -248,8 +251,11 @@ def make_quadratic_composite(a, b) -> Objective:
         )
     norm_sq = summary.lambda_max  # ||A||^2 = lambda_max(A A^T)
     chol = np.linalg.cholesky(gram)
+    del gram
     # fixed projector onto {x : Ax = b}: A^T (A A^T)^{-1}, built once
-    proj = A.T @ cholesky_solve(chol, np.eye(m))
+    inv = cholesky_solve(chol, np.eye(m))
+    del chol
+    proj = A.T @ inv
 
     last = None  # (point, A point) of the latest eval at a 1-D point
 
@@ -347,7 +353,9 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     if not A.any():
         raise ValueError("A must be nonzero, so that L = alpha ||A||^2 is positive")
     gram = A @ A.T
-    norm_sq = sym_eig_summary(0.5 * (gram + gram.T)).lambda_max  # ||A||^2
+    gram += gram.T
+    gram *= 0.5
+    norm_sq = sym_eig_summary(gram).lambda_max  # ||A||^2
 
     products: list[tuple[bytes, np.ndarray]] = []  # (point, A^T point) of the two latest products
     pending = None  # (point, image) formed by extrapolate, for the next eval only

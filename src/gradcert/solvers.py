@@ -34,6 +34,7 @@ __all__ = [
 VARIANTS = ("gd", "nesterov", "restart_fixed", "adaptive")
 POLICIES = ("restart", "skip")
 _TRACE_COLUMNS = ("k", "f", "fgap", "grad_norm", "dist_to_sol", "reset_event")
+_CSV_ROWS = 512  # records per block of CSV text
 _RUN_LINE = re.compile(
     r"# status=(\w+) f_star=(None|-?inf|nan|-?\d+(?:\.\d+)?(?:e[-+]\d+)?) n_evals=(None|\d+)")
 
@@ -143,28 +144,30 @@ class SolverTrace:
         return self.f - self.f_star
 
     def to_csv(self) -> str:
-        """CSV text that `load_trace_csv` reads back, every field but ``iterates``.
+        """CSV text that `load_trace_csv` reads back, held whole: `csv_blocks` joined."""
+        return "".join(self.csv_blocks())
 
-        The columns are those of ``_TRACE_COLUMNS``; a leading ``#`` line
-        carries status, f_star (the repr of a Python float, or None) and
-        n_evals. Files written before that line existed load without it.
-        """
+    def csv_blocks(self):
+        """The text of `to_csv` in blocks of at most ``_CSV_ROWS`` records: a ``#``
+        line (status, f_star as a float's repr or None, n_evals), then ``_TRACE_COLUMNS``."""
         f_star = None if self.f_star is None else float(self.f_star)
-        run = f"# status={self.status} f_star={f_star!r} n_evals={self.n_evals}\n"
-        gap = None if f_star is None else self.f - self.f_star
-        columns = (self.f, gap, self.grad_norm, self.dist_to_sol)
-        return run + _csv_text(_TRACE_COLUMNS, columns, self.reset_event)
+        yield f"# status={self.status} f_star={f_star!r} n_evals={self.n_evals}\n"
+        gap = None if f_star is None else lambda s: self.f[s] - self.f_star
+        yield from _csv_blocks(_TRACE_COLUMNS, self.reset_event,
+                               (self.f, gap, self.grad_norm, self.dist_to_sol))
 
 
-def _csv_text(header: tuple[str, ...], columns, events) -> str:
-    """CSV text: the ``header`` line, then per record its index k, the entry of
-    each of ``columns`` as the repr of a Python float (blank cells for a None
-    column) and its entry of ``events``."""
-    n = len(events)
-    cells = ([""] * n if c is None else map(repr, np.asarray(c, dtype=float).tolist())
-             for c in columns)
-    rows = zip(map(str, range(n)), *cells, events)
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+def _csv_blocks(header: tuple[str, ...], events, columns):
+    """The ``header`` line, then blocks of ``_CSV_ROWS`` records: index k, the
+    repr of each column's Python float (blank for a None column), the event.
+    A column is an array, None, or a function giving its entries at a slice."""
+    yield ",".join(header) + "\n"
+    for r0 in range(0, len(events), _CSV_ROWS):
+        rows = slice(r0, r0 + _CSV_ROWS)
+        ev = events[rows]
+        cells = ([""] * len(ev) if c is None else map(repr, np.asarray(
+            c(rows) if callable(c) else c[rows], dtype=float).tolist()) for c in columns)
+        yield "\n".join(map(",".join, zip(map(str, range(r0, r0 + len(ev))), *cells, ev))) + "\n"
 
 
 def load_trace_csv(path) -> SolverTrace:
@@ -177,10 +180,13 @@ def load_trace_csv(path) -> SolverTrace:
     Raises ValueError naming the file and line of a malformed run line, of a
     row without 6 fields, with a non-numeric field, or with fgap or
     dist_to_sol blank only on some rows.
+    Values go line by line into ``array("d")`` buffers, events into shared
+    strings, so it holds about 32 bytes per record, as a solver run does.
     """
-    rows: list[tuple[float, float | None, float, float | None]] = []
+    f, gn, dist = array("d"), array("d"), array("d")
     events: list[str] = []
-    run = None
+    names: dict[str, str] = {}
+    first = run = None
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header.startswith("#"):
@@ -194,34 +200,38 @@ def load_trace_csv(path) -> SolverTrace:
             fields = line.rstrip("\n").split(",")
             if fields == [""]:
                 continue
-            where = f"{path} line {lineno}"
             if len(fields) != len(_TRACE_COLUMNS):
-                raise ValueError(
-                    f"{where}: expected {len(_TRACE_COLUMNS)} fields, got {len(fields)}")
+                raise ValueError(f"{path} line {lineno}: "
+                                 f"expected {len(_TRACE_COLUMNS)} fields, got {len(fields)}")
             k_s, f_s, gap_s, gn_s, dist_s, ev = fields
             try:
                 int(k_s)
                 row = (float(f_s), float(gap_s) if gap_s else None,
                        float(gn_s), float(dist_s) if dist_s else None)
             except ValueError:
-                raise ValueError(f"{where}: non-numeric field in {line.strip()!r}") from None
-            if rows and (not gap_s, not dist_s) != (rows[0][1] is None, rows[0][3] is None):
-                raise ValueError(f"{where}: fgap or dist_to_sol is blank on some rows only")
-            rows.append(row)
-            events.append(ev)
-    if not rows:
+                raise ValueError(
+                    f"{path} line {lineno}: non-numeric field in {line.strip()!r}") from None
+            first = first or row
+            if (not gap_s, not dist_s) != (first[1] is None, first[3] is None):
+                raise ValueError(
+                    f"{path} line {lineno}: fgap or dist_to_sol is blank on some rows only")
+            f.append(row[0])
+            gn.append(row[2])
+            if dist_s:
+                dist.append(row[3])
+            events.append(names.setdefault(ev, ev))
+    if not events:
         raise ValueError(f"no records in {path}")
-    f, gaps, gn, dist = zip(*rows)
     if run is None:
-        status, f_star, n_evals = "max_iters", None if gaps[0] is None else f[0] - gaps[0], None
+        status, f_star, n_evals = "max_iters", None if first[1] is None else f[0] - first[1], None
     else:
         status, f_star_s, n_evals_s = run.groups()
         f_star = None if f_star_s == "None" else float(f_star_s)
         n_evals = None if n_evals_s == "None" else int(n_evals_s)
     return SolverTrace(
-        f=np.array(f),
-        grad_norm=np.array(gn),
-        dist_to_sol=None if dist[0] is None else np.array(dist),
+        f=np.frombuffer(f),
+        grad_norm=np.frombuffer(gn),
+        dist_to_sol=None if first[3] is None else np.frombuffer(dist),
         reset_event=tuple(events),
         status=status,
         f_star=f_star,

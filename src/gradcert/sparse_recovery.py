@@ -17,7 +17,7 @@ import numpy as np
 
 from .numkit import GaussianStream
 from .oracles import Objective, make_augl1_dual
-from .solvers import SolverConfig, SolverTrace, _csv_text, run_solver
+from .solvers import SolverConfig, SolverTrace, _csv_blocks, run_solver
 
 __all__ = [
     "SparseProblem",
@@ -90,9 +90,13 @@ class RecoveryResult:
 
     def to_csv(self) -> str:
         """CSV text with columns k,rel_error,primal_residual,reset_event."""
-        return _csv_text(("k", "rel_error", "primal_residual", "reset_event"),
-                         (self.rel_error_curve, self.primal_residual_curve),
-                         self.dual_trace.reset_event)
+        return "".join(self.csv_blocks())
+
+    def csv_blocks(self):
+        """The text of `to_csv` in str blocks of a fixed number of records."""
+        return _csv_blocks(("k", "rel_error", "primal_residual", "reset_event"),
+                           self.dual_trace.reset_event,
+                           (self.rel_error_curve, self.primal_residual_curve))
 
 
 def gen_sparse_problem(

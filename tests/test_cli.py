@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from gradcert.cli import main, oracle_from_id, resolve_stepsize
-from gradcert.solvers import SolverTrace, load_trace_csv
+from gradcert.cli import _write_atomic, main, oracle_from_id, resolve_stepsize
+from gradcert.solvers import _CSV_ROWS, SolverTrace, load_trace_csv
+from gradcert.sparse_recovery import RecoveryResult
 
 
 def run_cli(*args):
@@ -292,3 +294,100 @@ def test_unusable_sampling_box_is_rejected(tmp_path):
     code = run_cli("certify", "--oracle", "f3:beta=9.0", "--which", "rsi",
                    "--box", "-1", "1", "--samples", "500", "--out", str(tmp_path / "z"))
     assert code == 2
+
+
+def _long_trace(n, f_star=0.25, dist=True):
+    ks = np.arange(n, dtype=float)
+    return SolverTrace(
+        f=1.0 / (ks + 3.0) + (f_star or 0.0),
+        grad_norm=np.sqrt(ks + 0.5),
+        dist_to_sol=np.exp(-ks / 7.0) if dist else None,
+        reset_event=tuple("restart" if k % 7 == 3 else "none" for k in range(n)),
+        status="max_iters",
+        f_star=f_star,
+        n_evals=n + 1,
+    )
+
+
+def _rows_text(columns, events):
+    # the text a one-shot writer makes: one line per record, floats as their repr
+    return "".join(
+        ",".join([str(k), *("" if c is None else repr(float(c[k])) for c in columns), ev]) + "\n"
+        for k, ev in enumerate(events))
+
+
+@pytest.mark.parametrize("n", [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 3 * _CSV_ROWS + 7])
+@pytest.mark.parametrize("full", [True, False])
+def test_csv_blocks_join_to_the_written_text(tmp_path, n, full):
+    tr = _long_trace(n, 0.25 if full else None, dist=full)
+    gap = tr.f - tr.f_star if full else None
+    want = (f"# status=max_iters f_star={0.25 if full else None} n_evals={n + 1}\n"
+            "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
+            + _rows_text((tr.f, gap, tr.grad_norm, tr.dist_to_sol), tr.reset_event))
+    rec = RecoveryResult(np.zeros(3), tr.dist_to_sol, tr.grad_norm, n, "skip", tr)
+    rec_want = ("k,rel_error,primal_residual,reset_event\n"
+                + _rows_text((tr.dist_to_sol, tr.grad_norm), tr.reset_event))
+    for obj, text in ((tr, want), (rec, rec_want)):
+        blocks = list(obj.csv_blocks())
+        assert "".join(blocks) == obj.to_csv() == text
+        assert max(block.count("\n") for block in blocks) == min(n, _CSV_ROWS)
+        _write_atomic(tmp_path / "out.csv", iter(blocks))
+        assert (tmp_path / "out.csv").read_bytes() == text.encode("ascii")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+@pytest.mark.parametrize("before", [None, "old\n"])
+def test_write_atomic_leaves_no_partial_file(tmp_path, before):
+    path = tmp_path / "trace.csv"
+    if before is not None:
+        path.write_text(before)
+
+    def blocks():
+        yield "k,f\n"
+        yield "0,1.0\n"
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        _write_atomic(path, blocks())
+    assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["trace.csv"])
+    if before is not None:
+        assert path.read_text() == before
+
+
+# tracemalloc costs about a microsecond per allocation, so the traced traces
+# are kept to 20,001 records (40 blocks), which keeps each test under 1 s
+_TRACED_RECORDS = 20_001
+
+
+def test_write_atomic_holds_a_few_blocks_of_text(tmp_path):
+    # the writer holds the block it writes, never the file's text (about 1.5 MB)
+    tr = _long_trace(_TRACED_RECORDS)
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        _write_atomic(path, tr.csv_blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == tr.to_csv().encode("ascii")
+    # a block holds 1/40 of the text, so this is about ten blocks' text
+    assert peak <= path.stat().st_size // 4
+
+
+def test_load_trace_csv_stores_8_bytes_per_value(tmp_path):
+    # 24 B of values and an 8 B event pointer per record, plus the event list
+    # the tuple is copied from; a list of row tuples took about 250 B here
+    n = _TRACED_RECORDS
+    tr = _long_trace(n)
+    path = tmp_path / "trace.csv"
+    path.write_text(tr.to_csv(), encoding="ascii")
+    tracemalloc.start()
+    try:
+        back = load_trace_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for name in ("f", "grad_norm", "dist_to_sol"):
+        assert getattr(back, name).tobytes() == getattr(tr, name).tobytes()
+    assert back.reset_event == tr.reset_event and back.f_star == tr.f_star
+    assert peak <= 48 * n

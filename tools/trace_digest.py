@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/trace_digest.py
 
 It prints one line per set, ``<set> <sha256>``, in a few seconds; the
-``certify`` line adds ``n_evals=<total>``. Each digest
+``certify`` line adds ``n_evals=<total>``. Each digest but ``csv``
 covers the raw bytes of every array and the repr of every scalar field, so a
 change to how traces are written or read cannot hide a moved bit:
 
@@ -24,7 +24,13 @@ change to how traces are written or read cannot hide a moved bit:
   the workload builds them, on its quads 0-3 of workload seeds 1, 2 and
   7919; every trace field but ``n_evals``, the iterates where the run keeps
   them. The total of ``n_evals`` is printed beside the digest, so a change
-  that only skips oracle calls keeps the digest.
+  that only skips oracle calls keeps the digest;
+- ``csv``: the bytes the CLI's writer (``cli._write_atomic`` of
+  ``csv_blocks()``) makes of every result of the ``recover`` set and every
+  trace of the ``quad`` set, then of one 20,001-record ``nesterov`` trace
+  (the first quad of that set, at its theory stepsize, from 0), whose text
+  spans many blocks. It catches a moved CSV byte that the array digests
+  cannot see.
 """
 
 from __future__ import annotations
@@ -32,11 +38,13 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from gradcert.cli import _write_atomic  # noqa: E402
 from gradcert.numkit import GaussianStream  # noqa: E402
 from gradcert.oracles import make_quadratic_composite  # noqa: E402
 from gradcert.solvers import SolverConfig, run_solver  # noqa: E402
@@ -54,13 +62,22 @@ def _feed(h, *items) -> None:
         h.update(b"|")
 
 
-def recover_digest() -> str:
+def _csv_writer(h, path: Path):
+    """A function that writes a trace or result as the CLI does and hashes the file."""
+    def write(obj) -> None:
+        _write_atomic(path, obj.csv_blocks())
+        h.update(path.read_bytes())
+    return write
+
+
+def recover_digest(write_csv) -> str:
     h = hashlib.sha256()
     for seed in (1, 2, 3):
         p = gen_sparse_problem(seed, 256, 512, 25, "pm_one")
         _feed(h, p.A, p.b, p.x_true, p.alpha)
         for variant in RECOVERY_VARIANTS:
             res = recover(p, variant)
+            write_csv(res)
             _feed(h, variant, res.x_final, res.rel_error_curve, res.primal_residual_curve,
                   res.iters)
             tr = res.dual_trace
@@ -80,14 +97,19 @@ def _theory_configs(nu: float, big_r: float) -> list[SolverConfig]:
     ]
 
 
-def quad_digest() -> str:
+def _theory_quad(seed: int):
+    stream = GaussianStream(seed)
+    a = stream.normal((20, 50))
+    return make_quadratic_composite(a, a @ stream.normal(50))
+
+
+def quad_digest(write_csv) -> str:
     h = hashlib.sha256()
     for seed in (11, 12, 13, 14, 15):
-        stream = GaussianStream(seed)
-        a = stream.normal((20, 50))
-        quad = make_quadratic_composite(a, a @ stream.normal(50))
+        quad = _theory_quad(seed)
         for cfg in _theory_configs(quad.constants.nu, quad.constants.R):
             tr = run_solver(quad, np.zeros(50), cfg)
+            write_csv(tr)
             _feed(h, cfg, tr.f, tr.grad_norm, tr.dist_to_sol, tr.reset_event, tr.status,
                   tr.f_star, tr.n_evals, *tr.iterates)
     return h.hexdigest()
@@ -131,10 +153,17 @@ def certify_digest() -> tuple[str, int]:
 
 
 def main() -> None:
-    print("recover", recover_digest())
-    print("quad", quad_digest())
-    digest, n_evals = certify_digest()
-    print("certify", digest, f"n_evals={n_evals}")
+    csv_hash = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv = _csv_writer(csv_hash, Path(tmp) / "out.csv")
+        print("recover", recover_digest(write_csv))
+        print("quad", quad_digest(write_csv))
+        digest, n_evals = certify_digest()
+        print("certify", digest, f"n_evals={n_evals}")
+        quad = _theory_quad(11)
+        cfg = SolverConfig(stepsize_h=1.0 / quad.constants.R, max_iters=20_000, variant="nesterov")
+        write_csv(run_solver(quad, np.zeros(50), cfg, keep_iterates=False))
+    print("csv", csv_hash.hexdigest())
 
 
 if __name__ == "__main__":
