@@ -102,6 +102,8 @@ class Objective:
     may reuse what its latest ``eval`` computed, keyed by point content, if
     the result keeps the bits of a fresh computation: the quad projects the
     point it has just evaluated from that evaluation's product ``A x``.
+    ``release`` (optional) drops such caches; `run_solver` calls it once as a
+    run ends, so a kept oracle holds no finished run's state and no bit moves.
     """
 
     dim: int
@@ -113,6 +115,7 @@ class Objective:
     name: str = ""
     primal: Callable[[np.ndarray], np.ndarray] | None = None
     extrapolate: Callable[[np.ndarray, np.ndarray, float], np.ndarray] = _extrapolate
+    release: Callable[[], None] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +282,10 @@ def make_quadratic_composite(a, b) -> Objective:
             return pts + proj.dot(rhs - ax)
         return pts + (rhs - pts @ A.T) @ proj.T
 
+    def release():
+        nonlocal last
+        last = None
+
     return Objective(
         dim=n,
         eval=eval_one,
@@ -287,25 +294,24 @@ def make_quadratic_composite(a, b) -> Objective:
         f_star=0.0,
         eval_batch=eval_batch,
         name=f"quad[{m}x{n}]",
+        release=release,
     )
 
 
-def _augl1_point(block_of, rhs: np.ndarray, alpha: float, z: np.ndarray):
-    """``(shrink_1(z)[S], x, A x - b)`` with ``x = alpha * shrink_1(z)``, for z = A^T y.
+def _augl1_point(alpha: float, z: np.ndarray):
+    """``(S, shrink_1(z)[S], x)`` with ``x = alpha * shrink_1(z)``, for z = A^T y.
 
     S is the support of ``shrink_1(z)``, where ``|z| - 1 > 0`` or is NaN;
     there the entries are ``+-(|z| - 1)``, the bits `shrink` computes,
-    elsewhere zero. A NaN or infinite entry of z thus reaches ``A x - b``.
-    ``A x`` is ``block_of(S) @ x[S]``, a product with the support columns
-    ``A[:, S]`` only.
+    elsewhere +0.0 (`shrink` writes -0.0 there where z is negative). A NaN or
+    infinite entry of z thus lands in ``x[S]``, and so in ``A[:, S] @ x[S]``.
     """
     u = np.abs(z) - 1.0
     S = (~(u <= 0.0)).nonzero()[0]
     s = np.copysign(u[S], z[S])
-    xs = alpha * s
     x = np.zeros(z.shape[0])
-    x[S] = xs
-    return s, x, block_of(S).dot(xs) - rhs
+    x[S] = alpha * s
+    return S, s, x
 
 
 def make_augl1_dual(a, b, alpha: float) -> Objective:
@@ -341,7 +347,8 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
     ``primal(y)`` returns ``x(y)``. ``eval`` keeps the ``x(y)`` it computed
     together with the content of its point, so ``primal`` of that same
     point costs no matrix product; the returned array is that stored one
-    and must not be written to. Any other point is computed afresh.
+    and must not be written to. Any other point is computed afresh, with
+    the same bits. ``release`` drops the block, the images and ``x(y)``.
     """
     A = as_matrix(a)
     rhs = as_vector(b)
@@ -387,8 +394,9 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
             if len(products) > 2:
                 del products[0]
         pending = None
-        s, primal, grad = _augl1_point(block_of, rhs, alpha, z)
+        S, s, primal = _augl1_point(alpha, z)
         last = (key, primal)
+        grad = block_of(S).dot(primal[S]) - rhs
         return 0.5 * alpha * float(s.dot(s)) - float(rhs.dot(y)), grad
 
     def extrapolate(x_next, x, beta):
@@ -406,7 +414,12 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         seen = last
         if seen is not None and seen[0] == y.tobytes():
             return seen[1]
-        return alpha * shrink(y.dot(A), 1.0)
+        return _augl1_point(alpha, y.dot(A))[2]
+
+    def release():
+        nonlocal pending, last, block
+        pending = last = block = None
+        products.clear()
 
     def eval_batch(ys):
         s = shrink(ys @ A, 1.0)
@@ -421,6 +434,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         name=f"augl1-dual[{m}x{n}]",
         primal=primal_of,
         extrapolate=extrapolate,
+        release=release,
     )
 
 

@@ -337,7 +337,8 @@ def run_solver(
     stops with status "max_iters"; only ``n_evals`` differs from a full
     loop's trace. Otherwise y^(k+1) comes from
     ``oracle.extrapolate(x^(k+1), x^(k), beta_{k+1})``, which is the formula
-    above and lets an oracle prepare the evaluation of y^(k+1).
+    above and lets an oracle prepare the evaluation of y^(k+1). Once the
+    loop ends, whatever the status, ``oracle.release`` (if any) is called.
     """
     x = as_vector(x0).copy()
     if x.shape[0] != oracle.dim:
@@ -417,4 +418,6 @@ def run_solver(
         else:
             y, g_y = extrapolate(x_next, x, beta), None
         x = x_next
+    if oracle.release is not None:
+        oracle.release()
     return tb.freeze(status, f_star, n_evals)

@@ -38,7 +38,8 @@ class SparseProblem:
     augmentation weight of the recovery model (default 10 ||x_true||_inf).
     ``dual`` is the problem's augmented-l1 dual oracle, built on first use
     and then kept, so ``||A||^2`` is computed once per problem however many
-    recoveries run on it. `gen_sparse_problem` stores ``A`` column-major, so
+    recoveries run on it; it holds no per-run state, since each run releases
+    its caches as it ends. `gen_sparse_problem` stores ``A`` column-major, so
     that the columns the dual multiplies on the support of the primal point
     are contiguous, and makes ``A``, ``b`` and ``x_true`` read-only so that
     the kept oracle cannot go stale; a problem built by hand must not change

@@ -3,13 +3,15 @@
 For f(x) = 0.5 ||Ax - b||^2 with m < n the constants are L = R = ||A||^2
 and nu = lambda_min(A A^T); the secant inequality and Lemma 3's growth
 bound must hold with that nu at every point. The dual oracle's ``primal``
-must return ``alpha * shrink_1(A^T y)`` bit for bit, whatever point its
-memo holds; its evaluation at an extrapolated point, from an image formed
-by linearity, must match a fresh product to rounding, and must be a fresh
-product whenever a point changed after its evaluation. Along a walk whose
+must return ``alpha * shrink_1(A^T y)`` bit for bit, its zeros +0.0,
+whatever point its memo holds; its evaluation at an extrapolated point,
+from an image formed by linearity, must match a fresh product to rounding,
+and must be a fresh product whenever a point changed after its evaluation. Along a walk whose
 support holds, changes size or changes content, the dual's evaluations must
 be a fresh oracle's bit for bit, and so must the quad's projection of the
-point it just evaluated. The support form of the shrink must be bitwise
+point it just evaluated. Every recovery variant must give the same bits
+twice on one problem, whose kept dual each run releases, and once on a
+fresh copy. The support form of the shrink must be bitwise
 `shrink`, which must not expand distances. The quad's and the dual's
 single-point products, formed with ``ndarray.dot``, must be bitwise the
 ``@`` forms for C- and F-ordered matrices. The start of the 1-D
@@ -57,7 +59,7 @@ from gradcert.oracles import (
     shrink,
 )
 from gradcert.solvers import SolverConfig, SolverTrace, load_trace_csv, run_solver, theta_step
-from gradcert.sparse_recovery import gen_sparse_problem
+from gradcert.sparse_recovery import RECOVERY_VARIANTS, gen_sparse_problem, recover
 
 SLACK = 1e-9
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -166,8 +168,10 @@ def test_dual_products_are_bitwise_the_matmul_forms(case, alpha):
     f, g = dual.eval(y)
     assert f == 0.5 * alpha * float(s @ s) - float(b @ y)
     assert g.tobytes() == (a[:, S] @ (alpha * s) - b).tobytes()
-    # a point other than the last one evaluated gets a fresh product
-    assert dual.primal(2.0 * y).tobytes() == (alpha * shrink(a.T @ (2.0 * y), 1.0)).tobytes()
+    # a point other than the last one evaluated gets a fresh product; its
+    # zeros are +0.0 where shrink writes -0.0, and adding 0.0 maps both to +0.0
+    fresh = alpha * shrink(a.T @ (2.0 * y), 1.0) + 0.0
+    assert dual.primal(2.0 * y).tobytes() == fresh.tobytes()
 
 
 @st.composite
@@ -308,6 +312,26 @@ def test_dual_kept_support_block_gives_the_fresh_bits(walk):
         assert primal.tobytes() == fresh.primal(y).tobytes()
 
 
+def _recovery_bits(res):
+    tr = res.dual_trace
+    return (tr.f.tobytes(), tr.grad_norm.tobytes(), tr.reset_event, tr.status, tr.n_evals,
+            None if res.rel_error_curve is None else res.rel_error_curve.tobytes(),
+            res.primal_residual_curve.tobytes(), res.x_final.tobytes())
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.data())
+def test_recovery_bits_repeat_on_a_kept_dual_and_a_fresh_copy(seed, m, data):
+    n = m + data.draw(st.integers(1, 12))
+    signal = data.draw(st.sampled_from(["gaussian", "pm_one"]))
+    args = (seed, m, n, data.draw(st.integers(0, n)), signal)
+    shared = gen_sparse_problem(*args)
+    for variant in RECOVERY_VARIANTS:
+        first, second = (recover(shared, variant, max_iters=200) for _ in range(2))
+        fresh = recover(gen_sparse_problem(*args), variant, max_iters=200)
+        assert _recovery_bits(first) == _recovery_bits(second) == _recovery_bits(fresh)
+
+
 _FINITE_EDGES = [0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0),
                  np.nextafter(1.0, 0.0), 1e-300, 1e300]
 _EDGES = _FINITE_EDGES + [np.nan, np.inf, -np.inf]
@@ -318,11 +342,13 @@ _EDGES = _FINITE_EDGES + [np.nan, np.inf, -np.inf]
 def test_support_form_shrink_is_bitwise_shrink(values):
     z = np.array(values)
     with np.errstate(invalid="ignore"):  # inf * 0 in A x on non-finite z
-        s, x, resid = _augl1_point(lambda S: np.eye(z.size)[:, S], np.zeros(z.size), 1.0, z)
+        S, s, x = _augl1_point(1.0, z)
+        resid = np.eye(z.size)[:, S].dot(x[S])  # A x - b as the dual forms it, A = I, b = 0
     # shrink writes -0.0 below the threshold where the support form leaves
     # +0.0; adding 0.0 maps both to +0.0 and changes no other bit
     assert x.tobytes() == (shrink(z, 1.0) + 0.0).tobytes()
     assert s.tobytes() == x[x != 0.0].tobytes()
+    assert S.tolist() == np.flatnonzero(x != 0.0).tolist()
     if np.isfinite(z).all():
         assert np.array_equal(resid, x)
     else:

@@ -653,6 +653,62 @@ def test_accelerated_runs_keep_their_oracle_calls(variant, extra, n_evals):
     assert len(tr) == 1001 and tr.n_evals == n_evals
 
 
+# ---------------------------------------------------------------------------
+# the oracle's release as a run ends
+
+
+def _square(x):
+    return 0.5 * float(x.dot(x)), x.copy()
+
+
+def _released(eval_):
+    """An oracle on ``eval_`` whose release notes how many calls preceded it."""
+    calls, released = [], []
+
+    def counted(x):
+        calls.append(1)
+        return eval_(x)
+
+    return Objective(dim=1, eval=counted, release=lambda: released.append(len(calls))), released
+
+
+def _bad_on_call(n):
+    """A factory of evals that are finite but for call n, which returns inf."""
+    def make():
+        calls = []
+
+        def eval_(x):
+            calls.append(1)
+            return (np.inf, np.ones(1)) if len(calls) == n else (0.0, np.ones(1))
+
+        return eval_
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make_eval, cfg, status",
+    [
+        (lambda: _square, SolverConfig(0.5, 10, grad_tol=2.0), "tol_reached"),  # at the start
+        (lambda: _square, SolverConfig(0.5, 10, grad_tol=0.3), "tol_reached"),
+        (lambda: _square, SolverConfig(0.5, 3), "max_iters"),
+        (lambda: _square, SolverConfig(2000.0, 10), "diverged"),  # f above the threshold
+        (_bad_on_call(3), SolverConfig(0.1, 10), "diverged"),  # at x^(2)
+        (_bad_on_call(4), SolverConfig(0.1, 10, variant="nesterov"), "diverged"),  # at y^(2)
+        (lambda: _stalled().eval, SolverConfig(1.0, 5), "max_iters"),  # gd at a fixed point
+    ],
+)
+def test_release_is_called_once_as_every_run_ends(make_eval, cfg, status):
+    oracle, released = _released(make_eval())
+    tr = run_solver(oracle, np.ones(1), cfg)
+    assert tr.status == status
+    assert released == [tr.n_evals]  # once, after the run's last oracle call
+    # without a release the run is the same
+    plain = run_solver(Objective(dim=1, eval=make_eval()), np.ones(1), cfg)
+    assert (plain.f.tobytes(), plain.grad_norm.tobytes(), plain.status, plain.n_evals) == (
+        tr.f.tobytes(), tr.grad_norm.tobytes(), tr.status, tr.n_evals)
+
+
 def test_trace_builder_stores_8_bytes_per_value():
     # f, grad_norm and the event pointer take 24 B a record, about 32 B with
     # the buffers' spare room and the frozen event tuple; a tuple of boxed

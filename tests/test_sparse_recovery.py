@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,3 +356,34 @@ def test_x_final_does_not_alias_the_oracle_memo(monkeypatch):
     assert len(handed_out) == res.iters
     assert np.array_equal(res.x_final, handed_out[-1])
     assert not np.shares_memory(res.x_final, handed_out[-1])
+
+
+def test_kept_dual_holds_no_run_state_after_recover():
+    # a finished run leaves no support block, image or primal point (about
+    # 10 KB here) in the kept oracle; the few hundred bytes that stay are
+    # mostly numpy's cache of small buffers
+    p = gen_sparse_problem(1, 64, 128, 6, "pm_one")
+    p.dual  # the first build: A's norm and the closures stay with the problem
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for variant in RECOVERY_VARIANTS:
+            assert recover(p, variant).dual_trace.status == "tol_reached"
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2048
+
+
+def test_dual_primal_bits_do_not_depend_on_the_last_eval():
+    # where -1 <= A^T y < 0, shrink writes -0.0 and the memo of an eval +0.0;
+    # primal gives +0.0 on both paths
+    p = small_problem()
+    y = GaussianStream(5).normal(p.m)
+    z = p.A.T @ y
+    assert ((z >= -1.0) & (z < 0.0)).any()
+    dual = make_augl1_dual(p.A, p.b, p.alpha)
+    before = dual.primal(y).tobytes()
+    dual.eval(y)
+    assert dual.primal(y).tobytes() == before
+    assert before == (p.alpha * shrink(z, 1.0) + 0.0).tobytes()

@@ -5,7 +5,10 @@ Usage, from the root of a checkout:
     python3 tools/trace_digest.py
 
 It prints one line per set, ``<set> <sha256>``, in a few seconds; the
-``certify`` line adds ``n_evals=<total>``. Each digest but ``csv``
+``certify`` line adds ``n_evals=<total>``. A first line, ``blas_threads
+<n>``, gives the thread count the loaded OpenBLAS reports (``None`` when it
+cannot be read), since the ``recover`` digest depends on it: LAPACK's
+``eigvalsh`` moves ``||A||^2`` in its last bits with the thread count. Each digest but ``csv``
 covers the raw bytes of every array and the repr of every scalar field, so a
 change to how traces are written or read cannot hide a moved bit:
 
@@ -35,6 +38,7 @@ change to how traces are written or read cannot hide a moved bit:
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import sys
@@ -49,6 +53,26 @@ from gradcert.numkit import GaussianStream  # noqa: E402
 from gradcert.oracles import make_quadratic_composite  # noqa: E402
 from gradcert.solvers import SolverConfig, run_solver  # noqa: E402
 from gradcert.sparse_recovery import RECOVERY_VARIANTS, gen_sparse_problem, recover  # noqa: E402
+
+
+def _blas_threads():
+    """Thread count reported by the loaded OpenBLAS, or None if not found.
+
+    The lookup of ``perfbench/run.py``, copied: importing that module would
+    pin the threads to 1.
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            libs = {ln.split()[-1] for ln in fh if "openblas" in ln and ".so" in ln}
+    except OSError:
+        return None
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(lib, sym):
+                return int(getattr(lib, sym)())
+    return None
 
 
 def _feed(h, *items) -> None:
@@ -153,6 +177,7 @@ def certify_digest() -> tuple[str, int]:
 
 
 def main() -> None:
+    print("blas_threads", _blas_threads())
     csv_hash = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         write_csv = _csv_writer(csv_hash, Path(tmp) / "out.csv")
