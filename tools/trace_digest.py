@@ -7,10 +7,11 @@ Usage, from the root of a checkout:
 It prints one line per set, ``<set> <sha256>``, in a few seconds; the
 ``certify`` line adds ``n_evals=<total>``. A first line, ``blas_threads
 <n>``, gives the thread count the loaded OpenBLAS reports (``None`` when it
-cannot be read), since the ``recover`` digest depends on it: LAPACK's
-``eigvalsh`` moves ``||A||^2`` in its last bits with the thread count. Each digest but ``csv``
-covers the raw bytes of every array and the repr of every scalar field, so a
-change to how traces are written or read cannot hide a moved bit:
+cannot be read), since the ``recover`` and ``csv`` digests depend on it:
+LAPACK's ``eigvalsh`` moves ``||A||^2`` in its last bits with the thread
+count. Each digest but ``csv`` covers the raw bytes of every array and the
+repr of every scalar field, so a change to how traces are written or read
+cannot hide a moved bit:
 
 - ``recover``: seeds 1-3, 256x512, k = 25, ``pm_one``, each of the four
   ``RECOVERY_VARIANTS``; the problem's ``A``, ``b``, ``x_true`` and ``alpha``,
