@@ -1,10 +1,10 @@
 """Numerical certification: constant estimation, bound checking, rate fitting.
 
 Estimators recover the secant constant nu and the restricted gradient
-Lipschitz constant R from samples; `check_bounds` replays a solver trace
-against one displayed per-iteration inequality; `fit_rate` extracts
-empirical geometric/sublinear rates; `appendix_grid` verifies the
-(theta, h) stepsize optimization on a grid.
+Lipschitz constant R from samples; `check_bounds` checks the recorded
+columns of a solver trace against one displayed per-iteration inequality;
+`fit_rate` extracts empirical geometric/sublinear rates; `appendix_grid`
+verifies the (theta, h) stepsize optimization on a grid.
 
 All inequality checks use a multiplicative slack of 1 + 1e-9 so verdicts
 are scale-free across problems of different magnitudes.
@@ -189,13 +189,6 @@ def _eval_batch(oracle: Objective, pts: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.asarray(vals, dtype=np.float64), np.asarray(grads, dtype=np.float64)
 
 
-def _project_batch(oracle: Objective, pts: np.ndarray) -> np.ndarray:
-    prj = np.asarray(oracle.project(pts), dtype=np.float64)
-    if prj.shape != pts.shape:
-        raise ValueError(f"projection of a {pts.shape} batch returned shape {prj.shape}")
-    return prj
-
-
 # ---------------------------------------------------------------------------
 # constant estimators
 
@@ -215,7 +208,10 @@ def estimate_rsi(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
     value, witness, used = np.inf, None, 0
     for pts in _sample_blocks(oracle, domain, n_samples, seed):
         _, grads = _eval_batch(oracle, pts)
-        diff = pts - _project_batch(oracle, pts)
+        prj = np.asarray(oracle.project(pts), dtype=np.float64)
+        if prj.shape != pts.shape:
+            raise ValueError(f"projection of a {pts.shape} batch returned shape {prj.shape}")
+        diff = pts - prj
         dn = np.linalg.norm(diff, axis=1)
         mask = (dn > 1e-8) & np.all(np.isfinite(grads), axis=1)
         if mask.any():
@@ -347,13 +343,13 @@ def _report(theorem_id: str, viol: np.ndarray, ks: np.ndarray, n_stated: int) ->
     return BoundReport(theorem_id, first is None, max_v, first, viol.size, n_stated - viol.size)
 
 
-def _need(trace: SolverTrace, oracle: Objective, *, dist=False, gap=False, iterates=False):
+def _need(trace: SolverTrace, oracle: Objective, *, dist=False, gap=False, secant=False):
     if dist and trace.dist_to_sol is None:
         raise ValueError("check needs dist_to_sol (oracle projection) in the trace")
+    if secant and trace.secant is None:
+        raise ValueError("check needs secant (oracle projection) in the trace")
     if gap and trace.f_star is None and oracle.f_star is None:
         raise ValueError("check needs a known f_star")
-    if iterates and trace.iterates is None:
-        raise ValueError("check needs stored iterates (run with keep_iterates=True)")
 
 
 def _gap_of(trace: SolverTrace, oracle: Objective) -> np.ndarray:
@@ -390,6 +386,10 @@ def check_bounds(
     * lemma2_combined: <g_k, x_k-x_prj> >= ||g_k||^2/(4R) + (nu/2) r_k^2
     * lemma3_growth:   gap_k >= (nu/2) r_k^2
 
+    Every check reads the trace's columns and the oracle's constants and
+    f_star only, never its ``eval`` or ``project``: ``<g_k, x_k - x_prj>`` is
+    the trace's ``secant``, formed by the run at the gradient it computed,
+    so a trace read back from its CSV gives the same report.
     Iterates inside the solution set (r_k below 1e-12) and bound values
     below the objective's floating-point resolution are vacuous and skipped;
     the report counts them in ``n_vacuous`` beside the ``n_checked`` tested
@@ -469,19 +469,16 @@ def check_bounds(
         return BoundReport(theorem_id, passed, fit.fitted_factor - 1.0, None, n_fit, 0)
 
     if theorem_id in ("lemma1_part2", "lemma2_combined"):
-        _need(trace, oracle, dist=True, iterates=True)
+        _need(trace, oracle, dist=True, secant=True)
         big_r = _constant(oracle, "R", "L")
-        pts = np.stack(trace.iterates)
-        _, grads = _eval_batch(oracle, pts)
-        prj = _project_batch(oracle, pts)
-        inner = np.einsum("ij,ij->i", grads, pts - prj)
-        gg = np.einsum("ij,ij->i", grads, grads)
+        gg = trace.grad_norm**2
         if theorem_id == "lemma1_part2":
             lhs = gg / (2.0 * big_r)
         else:
             lhs = gg / (4.0 * big_r) + 0.5 * _constant(oracle, "nu") * r**2
         valid = r >= 1e-12
-        return _report(theorem_id, _violations(lhs[valid], inner[valid]), ks[valid], ks.size)
+        viol = _violations(lhs[valid], trace.secant[valid])
+        return _report(theorem_id, viol, ks[valid], ks.size)
 
     # lemma3_growth
     _need(trace, oracle, dist=True, gap=True)
@@ -510,9 +507,7 @@ def _terminal_geometric_fit(trace: SolverTrace) -> RateFit:
 
 
 def _converse_data(trace: SolverTrace, oracle: Objective, h: float):
-    if oracle.project is None:
-        raise ValueError("converse check needs an oracle with a projection")
-    _need(trace, oracle, dist=True, iterates=True)
+    _need(trace, oracle, dist=True, secant=True)
     if h <= 0:
         raise ValueError(f"stepsize must be positive, got {h}")
     r = trace.dist_to_sol
@@ -528,18 +523,8 @@ def _converse_data(trace: SolverTrace, oracle: Objective, h: float):
 
     # the contraction certifies the secant inequality at iterates with an
     # observed outgoing step, i.e. all but the final record
-    x_star = np.asarray(oracle.project(trace.iterates[0]), dtype=np.float64)
-    pts = np.stack(trace.iterates[:-1])
-    _, grads = _eval_batch(oracle, pts)
-    diff = pts - x_star
-    inner = np.einsum("ij,ij->i", grads, diff)
-    rr = np.linalg.norm(diff, axis=1)
-    keep = rr > 1e-8
-    viol = _violations(nu_hat * rr[keep] ** 2, inner[keep])
-
-    idx = np.nonzero(valid)[0][j]
-    witness = (trace.iterates[idx].copy(), trace.iterates[idx + 1].copy())
-    return witness, int(valid.sum()), nu_hat, viol, trace.k[:-1][keep]
+    viol = _violations(nu_hat * r[:-1][valid] ** 2, trace.secant[:-1][valid])
+    return int(np.nonzero(valid)[0][j]), int(valid.sum()), nu_hat, viol, trace.k[:-1][valid]
 
 
 def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> ConstantEstimate:
@@ -551,9 +536,12 @@ def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> Constant
     step (the final record has none, so the contraction certifies nothing
     there). A failure indicates a corrupted trace, since the inequality
     holds by the same algebra that produces the estimate. Requires a unique
-    minimizer so the projection is constant.
+    minimizer, so that the projection is constant, and the trace's iterates,
+    whose worst-ratio pair is the witness.
     """
-    witness, n_ratios, nu_hat, viol, _ = _converse_data(trace, oracle, h)
+    if trace.iterates is None:
+        raise ValueError("converse_secant needs stored iterates (run with keep_iterates=True)")
+    idx, n_ratios, nu_hat, viol, _ = _converse_data(trace, oracle, h)
     if viol.size and float(np.max(viol)) > SLACK:
         raise ArithmeticError(
             f"secant inequality violated along the trace (max violation "
@@ -561,7 +549,7 @@ def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> Constant
         )
     return ConstantEstimate(
         value=nu_hat,
-        witness=witness,
+        witness=(trace.iterates[idx].copy(), trace.iterates[idx + 1].copy()),
         method="contraction_converse",
         samples_used=n_ratios,
     )

@@ -261,9 +261,7 @@ def _cmd_verify(args: argparse.Namespace, out: Path) -> int:
     oracle = oracle_from_id(args.oracle)
     cfg = _solver_config(args, oracle)
     args.h = cfg.stepsize_h
-    # only the replaying checks need stored iterate vectors
-    keep = args.theorem in ("lemma1_part2", "lemma2_combined", "thm2_converse")
-    trace = run_solver(oracle, _start_point(args, oracle.dim), cfg, keep_iterates=keep)
+    trace = run_solver(oracle, _start_point(args, oracle.dim), cfg, keep_iterates=False)
     report = check_bounds(trace, oracle, args.theorem, cfg)
     _echo_config(out, args)
     _write_atomic(out / "report.jsonl", report.to_json() + "\n")

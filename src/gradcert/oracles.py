@@ -80,7 +80,7 @@ class Objective:
 
     ``eval(x) -> (f, grad)`` for a single point; ``eval_batch`` (optional)
     takes an ``(s, dim)`` array and returns ``((s,), (s, dim))``; the
-    certify estimators and bound replays need it.
+    certify estimators need it (the bound checks read solver traces only).
     A row's ``eval_batch`` bits may depend on how many rows its batch has,
     since BLAS picks its kernel by the product's size (and one row takes
     numpy's matrix-vector product), so they may differ in the last bits
@@ -235,7 +235,8 @@ def make_quadratic_composite(a, b) -> Objective:
     ``eval_batch`` forms ``resid @ A`` for the whole batch, so a row's
     gradient bits can depend on the batch's row count: on a 20x50 quad,
     most of the first 1,000 rows of an 8,192-row batch differ in the last
-    bits from a 1,000-row batch of the same points (see `Objective`). The
+    bits from a 1,000-row batch of the same points (see `Objective`). Only
+    the estimators, in fixed blocks, use it; no bound verdict does. The
     oracle holds ``A``, ``b``, the n x m projector and the latest ``(point,
     A point)``; the build frees each m x m temporary once it is used.
     """
@@ -244,9 +245,7 @@ def make_quadratic_composite(a, b) -> Objective:
     m, n = A.shape
     if rhs.shape[0] != m:
         raise ValueError(f"matrix is {m}x{n} but b has length {rhs.shape[0]}")
-    gram = A @ A.T
-    gram += gram.T
-    gram *= 0.5
+    gram = A @ A.T  # exactly symmetric: numpy forms A A^T with syrk
     summary = sym_eig_summary(gram)
     if summary.lambda_min <= 1e-12 * summary.lambda_max:
         raise ValueError(
@@ -359,10 +358,7 @@ def make_augl1_dual(a, b, alpha: float) -> Objective:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if not A.any():
         raise ValueError("A must be nonzero, so that L = alpha ||A||^2 is positive")
-    gram = A @ A.T
-    gram += gram.T
-    gram *= 0.5
-    norm_sq = sym_eig_summary(gram).lambda_max  # ||A||^2
+    norm_sq = sym_eig_summary(A @ A.T).lambda_max  # ||A||^2
 
     products: list[tuple[bytes, np.ndarray]] = []  # (point, A^T point) of the two latest products
     pending = None  # (point, image) formed by extrapolate, for the next eval only
@@ -456,8 +452,8 @@ def compose_constants(g_constants: KnownConstants, a, mode: str) -> KnownConstan
     if mode not in ("surjective", "strictly_convex"):
         raise ValueError(f"unknown composition mode {mode!r}")
     surjective = mode == "surjective"
-    gram = A @ A.T if surjective else A.T @ A
-    summary = sym_eig_summary(0.5 * (gram + gram.T))  # ||A||^2 is lambda_max of either
+    # ||A||^2 is lambda_max of either Gram matrix
+    summary = sym_eig_summary(A @ A.T if surjective else A.T @ A)
     low = summary.lambda_min if surjective else summary.lambda_min_pp
     if surjective and low <= 1e-12 * summary.lambda_max:
         raise ValueError(f"surjective mode needs full row rank: lambda_min(AA^T) = {low:.6e}")

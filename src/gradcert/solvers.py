@@ -33,7 +33,7 @@ __all__ = [
 
 VARIANTS = ("gd", "nesterov", "restart_fixed", "adaptive")
 POLICIES = ("restart", "skip")
-_TRACE_COLUMNS = ("k", "f", "fgap", "grad_norm", "dist_to_sol", "reset_event")
+_TRACE_COLUMNS = ("k", "f", "fgap", "grad_norm", "dist_to_sol", "secant", "reset_event")
 _CSV_ROWS = 512  # records per block of CSV text
 _RUN_LINE = re.compile(
     r"# status=(\w+) f_star=(None|-?inf|nan|-?\d+(?:\.\d+)?(?:e[-+]\d+)?) n_evals=(None|\d+)")
@@ -107,18 +107,18 @@ class SolverConfig:
 class SolverTrace:
     """Per-iteration record of a solver run (index k = 0 is the start point).
 
-    ``dist_to_sol`` is present only when the oracle has a projection;
+    ``dist_to_sol`` (the distance ``||x_k - P(x_k)||`` to the minimizer
+    set) and ``secant`` (``<g_k, x_k - P(x_k)>`` at the gradient g_k the run
+    computed at x_k) are present only when the oracle has a projection;
     ``iterates`` only when the run kept them. ``reset_event`` marks epoch
     boundaries ("restart") and adaptive reactions ("restart"/"skip").
     A run stores 8 bytes per value and per event (a shared string's pointer),
-    about 32 bytes per record, plus the iterates it keeps. ``n_evals`` is
-    the number of ``oracle.eval`` calls the run made (gd makes none after a
-    fixed point; see `run_solver`); None for traces not made by a solver run
-    (hand-built, or loaded from a file without the ``#`` run line).
+    about 40 bytes per record with a projection, plus the iterates it keeps.
+    ``n_evals`` is the number of ``oracle.eval`` calls the run made (gd makes
+    none after a fixed point; see `run_solver`); None for hand-built traces.
     `to_csv` writes every field but ``iterates``, with the columns declared
     once in ``_TRACE_COLUMNS`` and a leading ``#`` line that carries
-    ``status``, ``f_star`` and ``n_evals`` through `load_trace_csv`; a file
-    without that line still loads, as status "max_iters", ``n_evals`` None.
+    ``status``, ``f_star`` and ``n_evals`` through `load_trace_csv`.
     """
 
     f: np.ndarray
@@ -129,6 +129,7 @@ class SolverTrace:
     f_star: float | None = None
     iterates: tuple[np.ndarray, ...] | None = None
     n_evals: int | None = None
+    secant: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.f.shape[0])
@@ -154,7 +155,7 @@ class SolverTrace:
         yield f"# status={self.status} f_star={f_star!r} n_evals={self.n_evals}\n"
         gap = None if f_star is None else lambda s: self.f[s] - self.f_star
         yield from _csv_blocks(_TRACE_COLUMNS, self.reset_event,
-                               (self.f, gap, self.grad_norm, self.dist_to_sol))
+                               (self.f, gap, self.grad_norm, self.dist_to_sol, self.secant))
 
 
 def _csv_blocks(header: tuple[str, ...], events, columns):
@@ -174,68 +175,66 @@ def load_trace_csv(path) -> SolverTrace:
     """Read a trace CSV in the `SolverTrace.to_csv` format.
 
     The columns are checked against ``_TRACE_COLUMNS``. ``status``, ``f_star``
-    and ``n_evals`` come from the leading ``#`` run line; a file without it,
-    as written before that line existed, reads as status "max_iters" with
-    ``n_evals`` None and f_star as ``f[0] - fgap[0]`` (None if fgap is blank).
+    and ``n_evals`` come from the ``#`` run line, which must come first: a
+    file without it is refused, naming its first line (in a file written
+    before that line existed, an older header without ``secant``).
     Raises ValueError naming the file and line of a malformed run line, of a
-    row without 6 fields, with a non-numeric field, or with fgap or
-    dist_to_sol blank only on some rows.
+    row without 7 fields, with a non-numeric field, or with fgap,
+    dist_to_sol or secant blank only on some rows.
     Values go line by line into ``array("d")`` buffers, events into shared
-    strings, so it holds about 32 bytes per record, as a solver run does.
+    strings, so it holds about 40 bytes per record, as a solver run does.
     """
-    f, gn, dist = array("d"), array("d"), array("d")
+    f, gn, dist, sec = array("d"), array("d"), array("d"), array("d")
     events: list[str] = []
     names: dict[str, str] = {}
-    first = run = None
+    first_blanks = None
     with open(path, "r", encoding="ascii") as fh:
+        line = fh.readline().strip()
+        run = _RUN_LINE.fullmatch(line)
+        if run is None:
+            raise ValueError(f"{path} line 1: unrecognized run line {line!r}")
         header = fh.readline().strip()
-        if header.startswith("#"):
-            run = _RUN_LINE.fullmatch(header)
-            if run is None:
-                raise ValueError(f"{path} line 1: unrecognized run line {header!r}")
-            header = fh.readline().strip()
         if header != ",".join(_TRACE_COLUMNS):
             raise ValueError(f"unrecognized trace header: {header!r}")
-        for lineno, line in enumerate(fh, start=3 if run else 2):
+        for lineno, line in enumerate(fh, start=3):
             fields = line.rstrip("\n").split(",")
             if fields == [""]:
                 continue
             if len(fields) != len(_TRACE_COLUMNS):
                 raise ValueError(f"{path} line {lineno}: "
                                  f"expected {len(_TRACE_COLUMNS)} fields, got {len(fields)}")
-            k_s, f_s, gap_s, gn_s, dist_s, ev = fields
+            k_s, f_s, gap_s, gn_s, dist_s, sec_s, ev = fields
             try:
                 int(k_s)
-                row = (float(f_s), float(gap_s) if gap_s else None,
-                       float(gn_s), float(dist_s) if dist_s else None)
+                row = (float(f_s), float(gn_s), float(gap_s) if gap_s else None,
+                       float(dist_s) if dist_s else None, float(sec_s) if sec_s else None)
             except ValueError:
                 raise ValueError(
                     f"{path} line {lineno}: non-numeric field in {line.strip()!r}") from None
-            first = first or row
-            if (not gap_s, not dist_s) != (first[1] is None, first[3] is None):
-                raise ValueError(
-                    f"{path} line {lineno}: fgap or dist_to_sol is blank on some rows only")
+            blanks = (not gap_s, not dist_s, not sec_s)
+            first_blanks = first_blanks or blanks
+            if blanks != first_blanks:
+                raise ValueError(f"{path} line {lineno}: "
+                                 "fgap, dist_to_sol or secant is blank on some rows only")
             f.append(row[0])
-            gn.append(row[2])
+            gn.append(row[1])
             if dist_s:
                 dist.append(row[3])
+            if sec_s:
+                sec.append(row[4])
             events.append(names.setdefault(ev, ev))
     if not events:
         raise ValueError(f"no records in {path}")
-    if run is None:
-        status, f_star, n_evals = "max_iters", None if first[1] is None else f[0] - first[1], None
-    else:
-        status, f_star_s, n_evals_s = run.groups()
-        f_star = None if f_star_s == "None" else float(f_star_s)
-        n_evals = None if n_evals_s == "None" else int(n_evals_s)
+    status, f_star_s, n_evals_s = run.groups()
     return SolverTrace(
         f=np.frombuffer(f),
         grad_norm=np.frombuffer(gn),
-        dist_to_sol=None if first[3] is None else np.frombuffer(dist),
+        dist_to_sol=None if first_blanks[1] else np.frombuffer(dist),
         reset_event=tuple(events),
         status=status,
-        f_star=f_star,
-        n_evals=n_evals,
+        f_star=None if f_star_s == "None" else float(f_star_s),
+        n_evals=None if n_evals_s == "None" else int(n_evals_s),
+        secant=None if first_blanks[2] else np.frombuffer(sec),
     )
 
 
@@ -257,7 +256,8 @@ class _TraceBuilder:
     def __init__(self, oracle: Objective, callback: Callback | None, keep_iterates: bool):
         self.project = oracle.project
         self.callback = callback
-        self.f, self.grad_norm, self.dist = array("d"), array("d"), array("d")
+        self.f, self.grad_norm = array("d"), array("d")
+        self.dist, self.secant = array("d"), array("d")
         self.events: list[str] = []
         self.iterates: list[np.ndarray] | None = [] if keep_iterates else None
 
@@ -269,6 +269,7 @@ class _TraceBuilder:
         if self.project is not None:
             d = x - self.project(x)
             self.dist.append(_sqrt(d.dot(d)))
+            self.secant.append(g.dot(d))
         self.events.append(event)
         if self.iterates is not None:
             self.iterates.append(x.copy())
@@ -279,7 +280,7 @@ class _TraceBuilder:
         """Append ``count`` repeats of the record just pushed for ``x``, each
         as `push` records it: values, a "none" event, a copy and a callback."""
         k = len(self.events)
-        for buf in (self.f, self.grad_norm, self.dist):
+        for buf in (self.f, self.grad_norm, self.dist, self.secant):
             buf.extend(buf[-1:] * count)
         self.events.extend(["none"] * count)
         if self.iterates is not None:
@@ -298,6 +299,7 @@ class _TraceBuilder:
             f_star=f_star,
             iterates=None if self.iterates is None else tuple(self.iterates),
             n_evals=n_evals,
+            secant=None if self.project is None else np.frombuffer(self.secant),
         )
 
 

@@ -19,7 +19,7 @@ from gradcert.certify import (
 )
 from gradcert.numkit import GaussianStream
 from gradcert.oracles import KnownConstants, Objective, make_example_1d, make_quadratic_composite
-from gradcert.solvers import SolverConfig, SolverTrace, run_solver
+from gradcert.solvers import SolverConfig, SolverTrace, load_trace_csv, run_solver
 from conftest import seeded_quad
 
 SQRT2 = math.sqrt(2.0)
@@ -296,9 +296,6 @@ def test_certify_needs_eval_batch():
         estimate_rsi(oracle, box, 100)
     with pytest.raises(ValueError, match="eval_batch"):
         estimate_rlg(oracle, box, 100)
-    tr, cfg = run_gd(oracle, 0.5, 5, x0=np.ones(2))
-    with pytest.raises(ValueError, match="eval_batch"):
-        check_bounds(tr, oracle, "lemma1_part2", cfg)
 
 
 def test_batch_projection_must_keep_the_batch_shape():
@@ -306,9 +303,48 @@ def test_batch_projection_must_keep_the_batch_shape():
     oracle = dataclasses.replace(scaled_square(1.0), project=lambda p: np.zeros(2))
     with pytest.raises(ValueError, match="projection"):
         estimate_rsi(oracle, (-1.0, 1.0), 100)
-    tr, cfg = run_gd(oracle, 0.5, 5, x0=np.ones(2))
-    with pytest.raises(ValueError, match="projection"):
-        check_bounds(tr, oracle, "lemma2_combined", cfg)
+
+
+_SECANT_CHECKS = ("lemma1_part2", "lemma2_combined", "thm2_converse")
+
+
+def _secant_reports(quad_20x50):
+    tr, cfg = run_gd(quad_20x50, 1.0 / (2.0 * quad_20x50.constants.R), 300, x0=np.ones(50))
+    return tr, cfg, [check_bounds(tr, quad_20x50, tid, cfg) for tid in _SECANT_CHECKS]
+
+
+def test_secant_checks_call_no_oracle_method(quad_20x50):
+    tr, cfg, reports = _secant_reports(quad_20x50)
+    assert all(r.passed and r.n_checked > 0 for r in reports), reports
+
+    def boom(*args):
+        raise AssertionError("check_bounds called the oracle")
+
+    cut = dataclasses.replace(quad_20x50, eval=boom, eval_batch=boom, project=boom)
+    assert [check_bounds(tr, cut, tid, cfg) for tid in _SECANT_CHECKS] == reports
+
+
+def test_secant_checks_read_the_same_from_the_trace_csv(tmp_path, quad_20x50):
+    tr, cfg, reports = _secant_reports(quad_20x50)
+    path = tmp_path / "trace.csv"
+    path.write_text(tr.to_csv(), encoding="ascii")
+    back = load_trace_csv(path)
+    assert back.iterates is None
+    assert [check_bounds(back, quad_20x50, tid, cfg) for tid in _SECANT_CHECKS] == reports
+
+
+def test_secant_checks_need_the_secant_column():
+    tr = make_trace([1.0, 0.5], dist=[1.0, 0.5])
+    cfg = SolverConfig(stepsize_h=0.5, max_iters=1)
+    for tid in _SECANT_CHECKS:
+        with pytest.raises(ValueError, match="secant"):
+            check_bounds(tr, scaled_square(1.0), tid, cfg)
+
+
+def test_converse_secant_needs_the_iterates_for_its_witness(quad_20x50):
+    tr, cfg, _ = _secant_reports(quad_20x50)
+    with pytest.raises(ValueError, match="iterates"):
+        converse_secant(dataclasses.replace(tr, iterates=None), quad_20x50, cfg.stepsize_h)
 
 
 def test_gap_dominated_by_distance_bound(quad_20x50):

@@ -117,10 +117,12 @@ def test_solve_on_zero_data_dual_stops_at_its_start(tmp_path, capsys):
 
 def test_rates_rejects_malformed_trace(tmp_path, capsys):
     path = tmp_path / "short.csv"
-    path.write_text("k,f,fgap,grad_norm,dist_to_sol,reset_event\n0,1.0,,1.0,,none\n1,0.5\n")
+    path.write_text("# status=max_iters f_star=None n_evals=2\n"
+                    "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event\n"
+                    "0,1.0,,1.0,,,none\n1,0.5\n")
     code = run_cli("rates", "--input", str(path), "--window", "0", "1", "--out", str(tmp_path))
     assert code == 2
-    assert f"{path} line 3: expected 6 fields, got 2" in capsys.readouterr().err
+    assert f"{path} line 4: expected 7 fields, got 2" in capsys.readouterr().err
     assert not (tmp_path / "ratefit.jsonl").exists()
 
 
@@ -322,8 +324,8 @@ def test_csv_blocks_join_to_the_written_text(tmp_path, n, full):
     tr = _long_trace(n, 0.25 if full else None, dist=full)
     gap = tr.f - tr.f_star if full else None
     want = (f"# status=max_iters f_star={0.25 if full else None} n_evals={n + 1}\n"
-            "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
-            + _rows_text((tr.f, gap, tr.grad_norm, tr.dist_to_sol), tr.reset_event))
+            "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event\n"
+            + _rows_text((tr.f, gap, tr.grad_norm, tr.dist_to_sol, tr.secant), tr.reset_event))
     rec = RecoveryResult(np.zeros(3), tr.dist_to_sol, tr.grad_norm, n, "skip", tr)
     rec_want = ("k,rel_error,primal_residual,reset_event\n"
                 + _rows_text((tr.dist_to_sol, tr.grad_norm), tr.reset_event))

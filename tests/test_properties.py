@@ -754,6 +754,7 @@ def csv_traces(draw):
         status=draw(st.sampled_from(["max_iters", "tol_reached", "diverged"])),
         f_star=draw(st.none() | _CSV_FLOATS),
         n_evals=draw(st.none() | st.integers(0, 10**9)),
+        secant=draw(st.none() | column),
     )
 
 
@@ -764,7 +765,7 @@ def _assert_reads_back(trace, path):
     def bits(value):
         return None if value is None else np.asarray(value, dtype=float).tobytes()
 
-    for name in ("f", "grad_norm", "dist_to_sol", "f_star"):
+    for name in ("f", "grad_norm", "dist_to_sol", "secant", "f_star"):
         assert bits(getattr(back, name)) == bits(getattr(trace, name)), name
     assert back.reset_event == trace.reset_event
     assert (back.status, back.n_evals, back.iterates) == (trace.status, trace.n_evals, None)

@@ -18,6 +18,8 @@ from gradcert.solvers import (
 )
 from conftest import seeded_quad
 
+HEADER = "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event"
+
 
 def unit_quad():
     return make_quadratic_composite(np.array([[1.0]]), np.array([0.0]))
@@ -362,26 +364,23 @@ def test_trace_csv_roundtrip(tmp_path, quad_20x50):
     assert np.array_equal(back.f, tr.f)
     assert np.array_equal(back.grad_norm, tr.grad_norm)
     assert np.array_equal(back.dist_to_sol, tr.dist_to_sol)
+    assert np.array_equal(back.secant, tr.secant)
     assert back.reset_event == tr.reset_event
     assert back.f_star == tr.f_star
     assert tr.n_evals == len(tr)
     assert back.n_evals == tr.n_evals and back.status == tr.status
-    # a file written before the "#" run line reads as it always did
-    path.write_text(tr.to_csv().split("\n", 1)[1], encoding="ascii")
-    old = load_trace_csv(path)
-    assert (old.status, old.n_evals) == ("max_iters", None)
-    assert old.f_star == old.f[0] - (tr.f[0] - tr.f_star)
-    assert np.array_equal(old.f, tr.f) and old.reset_event == tr.reset_event
 
 
 @pytest.mark.parametrize(
     "run_line",
     ["# status=max_iters", "# status=max_iters f_star=half n_evals=3",
-     "# status=max_iters f_star=0.5 n_evals=-1", "#status=max_iters f_star=0.5 n_evals=3"],
+     "# status=max_iters f_star=0.5 n_evals=-1", "#status=max_iters f_star=0.5 n_evals=3",
+     # a file written before the run line and the secant column starts with this header
+     "k,f,fgap,grad_norm,dist_to_sol,reset_event"],
 )
 def test_load_trace_csv_rejects_malformed_run_line(tmp_path, run_line):
     path = tmp_path / "trace.csv"
-    path.write_text(f"{run_line}\nk,f,fgap,grad_norm,dist_to_sol,reset_event\n0,1.0,,2.0,,none\n")
+    path.write_text(f"{run_line}\n{HEADER}\n0,1.0,,2.0,,,none\n")
     with pytest.raises(ValueError) as info:
         load_trace_csv(path)
     assert str(info.value) == f"{path} line 1: unrecognized run line {run_line!r}"
@@ -390,19 +389,20 @@ def test_load_trace_csv_rejects_malformed_run_line(tmp_path, run_line):
 @pytest.mark.parametrize(
     "second_row, message",
     [
-        ("1,0.5,0.5,1.0", "expected 6 fields, got 4"),
-        ("1,0.5,half,1.0,,none", "non-numeric field in '1,0.5,half,1.0,,none'"),
-        ("1,0.5,,1.0,,none", "fgap or dist_to_sol is blank on some rows only"),
-        ("1,0.5,0.5,1.0,0.25,none", "fgap or dist_to_sol is blank on some rows only"),
+        ("1,0.5,0.5,1.0", "expected 7 fields, got 4"),
+        ("1,0.5,half,1.0,,,none", "non-numeric field in '1,0.5,half,1.0,,,none'"),
+        ("1,0.5,,1.0,,,none", "fgap, dist_to_sol or secant is blank on some rows only"),
+        ("1,0.5,0.5,1.0,0.25,,none", "fgap, dist_to_sol or secant is blank on some rows only"),
+        ("1,0.5,0.5,1.0,,0.5,none", "fgap, dist_to_sol or secant is blank on some rows only"),
     ],
 )
 def test_load_trace_csv_rejects_malformed_rows(tmp_path, second_row, message):
     path = tmp_path / "trace.csv"
-    header = "k,f,fgap,grad_norm,dist_to_sol,reset_event"
-    path.write_text(f"{header}\n0,1.0,1.0,2.0,,none\n{second_row}\n")
+    run_line = "# status=max_iters f_star=0.0 n_evals=2"
+    path.write_text(f"{run_line}\n{HEADER}\n0,1.0,1.0,2.0,,,none\n{second_row}\n")
     with pytest.raises(ValueError) as info:
         load_trace_csv(path)
-    assert str(info.value) == f"{path} line 3: {message}"
+    assert str(info.value) == f"{path} line 4: {message}"
 
 
 def test_trace_csv_header_and_blanks():
@@ -416,13 +416,13 @@ def test_trace_csv_header_and_blanks():
     tr = run_solver(dual, np.zeros(3), cfg)
     lines = tr.to_csv().splitlines()
     assert lines[0] == "# status=max_iters f_star=None n_evals=6"
-    assert lines[1] == "k,f,fgap,grad_norm,dist_to_sol,reset_event"
+    assert lines[1] == HEADER
     first = lines[2].split(",")
-    assert first[2] == "" and first[4] == ""  # fgap and dist blank
+    assert first[2] == first[4] == first[5] == ""  # fgap, dist and secant blank
 
 
 def test_trace_csv_text_is_pinned():
-    def trace(f_star, dist):
+    def trace(f_star, dist, secant):
         return SolverTrace(
             f=np.array([1.5, 0.1]),
             grad_norm=np.array([2.0, 1 / 3]),
@@ -430,19 +430,20 @@ def test_trace_csv_text_is_pinned():
             reset_event=("none", "restart"),
             status="max_iters",
             f_star=f_star,
+            secant=secant,
         )
 
-    assert trace(0.5, np.array([3.0, 1e-20])).to_csv() == (
+    assert trace(0.5, np.array([3.0, 1e-20]), np.array([6.0, -0.0])).to_csv() == (
         "# status=max_iters f_star=0.5 n_evals=None\n"
-        "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
-        "0,1.5,1.0,2.0,3.0,none\n"
-        "1,0.1,-0.4,0.3333333333333333,1e-20,restart\n"
+        "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event\n"
+        "0,1.5,1.0,2.0,3.0,6.0,none\n"
+        "1,0.1,-0.4,0.3333333333333333,1e-20,-0.0,restart\n"
     )
-    assert trace(None, None).to_csv() == (
+    assert trace(None, None, None).to_csv() == (
         "# status=max_iters f_star=None n_evals=None\n"
-        "k,f,fgap,grad_norm,dist_to_sol,reset_event\n"
-        "0,1.5,,2.0,,none\n"
-        "1,0.1,,0.3333333333333333,,restart\n"
+        "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event\n"
+        "0,1.5,,2.0,,,none\n"
+        "1,0.1,,0.3333333333333333,,,restart\n"
     )
 
 
@@ -566,6 +567,22 @@ def _plain_gd(oracle, x0, h, iters):
         dist.append(float(np.linalg.norm(x - oracle.project(x))))
         x = x - h * g
     return xs, np.array(f), np.array(grad_norm), np.array(dist)
+
+
+@pytest.mark.parametrize(
+    "h_times_r, variant, policy",
+    [(0.5, "gd", None), (1.0, "gd", None), (1.0, "nesterov", None), (1.0, "adaptive", "skip")],
+)
+def test_secant_is_the_inner_product_at_the_callback_gradient(h_times_r, variant, policy):
+    # gd at h = 1/R reaches a fixed point at k = 746 and records repeats after it
+    quad = _certify_quad()
+    cfg = SolverConfig(h_times_r / quad.constants.R, 1000, variant=variant, policy=policy)
+    seen = []
+    tr = run_solver(quad, 100.0 * np.ones(50), cfg, keep_iterates=False,
+                    callback=lambda k, x, fv, g: seen.append((x.copy(), g.copy())))
+    assert len(seen) == len(tr) == tr.secant.size
+    want = [float(g.dot(x - quad.project(x))) for x, g in seen]
+    assert tr.secant.tobytes() == np.array(want).tobytes()
 
 
 def _first_repeat(xs):

@@ -11,7 +11,9 @@ cannot be read), since the ``recover`` and ``csv`` digests depend on it:
 LAPACK's ``eigvalsh`` moves ``||A||^2`` in its last bits with the thread
 count. Each digest but ``csv`` covers the raw bytes of every array and the
 repr of every scalar field, so a change to how traces are written or read
-cannot hide a moved bit:
+cannot hide a moved bit. The ``quad`` and ``certify`` lines leave out the
+``secant`` column, which has its own line, so they kept their digests when
+that column was added:
 
 - ``recover``: seeds 1-3, 256x512, k = 25, ``pm_one``, each of the four
   ``RECOVERY_VARIANTS``; the problem's ``A``, ``b``, ``x_true`` and ``alpha``,
@@ -29,12 +31,14 @@ cannot hide a moved bit:
   7919; every trace field but ``n_evals``, the iterates where the run keeps
   them. The total of ``n_evals`` is printed beside the digest, so a change
   that only skips oracle calls keeps the digest;
+- ``secant``: the ``secant`` column of every trace of the ``quad`` set, then
+  of the ``certify`` set;
 - ``csv``: the bytes the CLI's writer (``cli._write_atomic`` of
   ``csv_blocks()``) makes of every result of the ``recover`` set and every
   trace of the ``quad`` set, then of one 20,001-record ``nesterov`` trace
   (the first quad of that set, at its theory stepsize, from 0), whose text
   spans many blocks. It catches a moved CSV byte that the array digests
-  cannot see.
+  cannot see. It moved when the ``secant`` column joined the trace CSV.
 """
 
 from __future__ import annotations
@@ -128,7 +132,7 @@ def _theory_quad(seed: int):
     return make_quadratic_composite(a, a @ stream.normal(50))
 
 
-def quad_digest(write_csv) -> str:
+def quad_digest(write_csv, secant) -> str:
     h = hashlib.sha256()
     for seed in (11, 12, 13, 14, 15):
         quad = _theory_quad(seed)
@@ -137,6 +141,7 @@ def quad_digest(write_csv) -> str:
             write_csv(tr)
             _feed(h, cfg, tr.f, tr.grad_norm, tr.dist_to_sol, tr.reset_event, tr.status,
                   tr.f_star, tr.n_evals, *tr.iterates)
+            _feed(secant, tr.secant)
     return h.hexdigest()
 
 
@@ -160,7 +165,7 @@ def _certify_runs(quad, grad0: float):
     ]
 
 
-def certify_digest() -> tuple[str, int]:
+def certify_digest(secant) -> tuple[str, int]:
     h = hashlib.sha256()
     n_evals = 0
     for seed in (1, 2, 7919):
@@ -173,19 +178,21 @@ def certify_digest() -> tuple[str, int]:
                 tr = run_solver(quad, x0, cfg, keep_iterates=keep)
                 _feed(h, cfg, tr.f, tr.grad_norm, tr.dist_to_sol, tr.reset_event, tr.status,
                       tr.f_star, *(tr.iterates or ()))
+                _feed(secant, tr.secant)
                 n_evals += tr.n_evals
     return h.hexdigest(), n_evals
 
 
 def main() -> None:
     print("blas_threads", _blas_threads())
-    csv_hash = hashlib.sha256()
+    csv_hash, secant_hash = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         write_csv = _csv_writer(csv_hash, Path(tmp) / "out.csv")
         print("recover", recover_digest(write_csv))
-        print("quad", quad_digest(write_csv))
-        digest, n_evals = certify_digest()
+        print("quad", quad_digest(write_csv, secant_hash))
+        digest, n_evals = certify_digest(secant_hash)
         print("certify", digest, f"n_evals={n_evals}")
+        print("secant", secant_hash.hexdigest())
         quad = _theory_quad(11)
         cfg = SolverConfig(stepsize_h=1.0 / quad.constants.R, max_iters=20_000, variant="nesterov")
         write_csv(run_solver(quad, np.zeros(50), cfg, keep_iterates=False))
