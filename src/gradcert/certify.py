@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,19 +39,6 @@ __all__ = [
 
 SLACK = 1e-9
 _TINY = 1e-300
-
-THEOREM_IDS = (
-    "thm1_sublinear",
-    "thm2_linear",
-    "thm2_converse",
-    "thm3_linear",
-    "thm4_accel",
-    "thm6_restart",
-    "thm8_augl1",
-    "lemma1_part2",
-    "lemma2_combined",
-    "lemma3_growth",
-)
 
 
 @dataclass(frozen=True)
@@ -91,16 +79,9 @@ class BoundReport:
     n_vacuous: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "theorem_id": self.theorem_id,
-                "pass": self.passed,
-                "max_violation": self.max_violation,
-                "first_fail_k": self.first_fail_k,
-                "n_checked": self.n_checked,
-                "n_vacuous": self.n_vacuous,
-            }
-        )
+        fields = asdict(self)
+        return json.dumps({"theorem_id": fields.pop("theorem_id"), "pass": fields.pop("passed"),
+                           **fields})
 
 
 @dataclass(frozen=True)
@@ -120,15 +101,7 @@ class RateFit:
     truncated: bool = False
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "fitted_factor": self.fitted_factor,
-                "r_squared": self.r_squared,
-                "window": list(self.window),
-                "truncated": self.truncated,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -343,18 +316,13 @@ def _report(theorem_id: str, viol: np.ndarray, ks: np.ndarray, n_stated: int) ->
     return BoundReport(theorem_id, first is None, max_v, first, viol.size, n_stated - viol.size)
 
 
-def _need(trace: SolverTrace, oracle: Objective, *, dist=False, gap=False, secant=False):
-    if dist and trace.dist_to_sol is None:
-        raise ValueError("check needs dist_to_sol (oracle projection) in the trace")
-    if secant and trace.secant is None:
-        raise ValueError("check needs secant (oracle projection) in the trace")
-    if gap and trace.f_star is None and oracle.f_star is None:
-        raise ValueError("check needs a known f_star")
-
-
-def _gap_of(trace: SolverTrace, oracle: Objective) -> np.ndarray:
-    f_star = trace.f_star if trace.f_star is not None else oracle.f_star
-    return trace.f - f_star
+def _need(trace: SolverTrace, oracle: Objective, columns) -> None:
+    """Raise unless the trace carries each named column; "gap" needs a known f_star."""
+    for name in columns:
+        if name == "gap" and trace.f_star is None and oracle.f_star is None:
+            raise ValueError("check needs a known f_star")
+        if name != "gap" and getattr(trace, name) is None:
+            raise ValueError(f"check needs {name} (oracle projection) in the trace")
 
 
 def _constant(oracle: Objective, *names: str) -> float:
@@ -365,149 +333,179 @@ def _constant(oracle: Objective, *names: str) -> float:
     raise ValueError(f"oracle {oracle.name!r} lacks required constant {names[0]}")
 
 
+@dataclass(frozen=True)
+class _Check:
+    """One row of `_CHECKS`: ``sides(trace, gap, cfg, *constants)`` gives ``(lhs, rhs, ks,
+    valid)``, the sides of ``lhs <= rhs`` with one entry per inequality stated along the
+    trace (n_stated is ``ks.size``), the record of each and the mask of those that are not
+    vacuous, or a fitted row's verdict. ``columns`` are the trace columns it reads ("gap"
+    needs f_star); ``constants`` go to ``sides``, each the first set one of its chain; a
+    hypothesis ``(trace, oracle, cfg, *constants)`` returns its name when the run fails it.
+    """
+
+    sides: Callable
+    columns: tuple[str, ...] = ()
+    constants: tuple[tuple[str, ...], ...] = ()
+    hypotheses: tuple[Callable, ...] = ()
+
+
+def _thm1(trace, gap, cfg, big_r):
+    r, ks = trace.dist_to_sol, trace.k
+    if gap[0] <= 0 or r[0] <= 1e-12:  # started at the optimum: nothing checkable
+        return gap, gap, ks, np.zeros(ks.size, dtype=bool)
+    alpha = cfg.stepsize_h * big_r
+    bound = 1.0 / (1.0 / gap[0] + ks * (alpha * (2.0 - alpha) / (2.0 * big_r * r[0] ** 2)))
+    return gap, bound, ks, bound >= gap[0] * 1e-15  # below fp resolution: vacuous
+
+
+def _thm1_step(trace, oracle, cfg, big_r):
+    alpha = cfg.stepsize_h * big_r
+    return None if 0 < alpha <= 1 + 1e-12 else f"thm1 needs h in (0, 1/R]; got h*R = {alpha}"
+
+
+def _contraction(scale: float, c: tuple[str, ...]) -> _Check:
+    """The row r_{k+1} <= sqrt(1 - nu/(scale c)) r_k, on the hypothesis nu < scale c."""
+
+    def sides(trace, gap, cfg, nu, c):
+        r, rho = trace.dist_to_sol, math.sqrt(1.0 - nu / (scale * c))
+        return r[1:], rho * r[:-1], trace.k[1:], r[:-1] >= 1e-12
+
+    def nu_below(trace, oracle, cfg, nu, c):
+        return f"invalid constants: nu = {nu} >= {scale * c}" if nu >= scale * c else None
+
+    return _Check(sides, ("dist_to_sol",), (("nu",), c), (nu_below,))
+
+
+def _thm2_converse(trace, gap, cfg):
+    lhs, rhs, valid = _converse_data(trace, cfg.stepsize_h)[3:]
+    return lhs, rhs, trace.k[:-1], valid
+
+
+def _thm4(trace, gap, cfg, big_r):
+    r1, ks = trace.dist_to_sol[1], trace.k[1:]
+    bound = 4.0 * big_r * r1**2 / (ks + 1.0) ** 2
+    return gap[1:], bound, ks, np.full(ks.size, not r1 <= 1e-12)
+
+
+def _thm6(trace, gap, cfg):
+    epochs = np.arange(len(trace) // cfg.restart_every + 1)
+    boundary = epochs * cfg.restart_every
+    boundary = boundary[boundary < len(trace)]
+    bound = np.exp(-epochs[: boundary.size].astype(float)) * gap[0]
+    return gap[boundary], bound, boundary, (gap[0] > 0) & (bound >= gap[0] * 1e-15)
+
+
+def _thm8(trace, gap, cfg):
+    """A geometric fit on the terminal half of the positive-gap prefix, with the best value
+    seen as the f_star surrogate when the trace carries none (its record then drops out)."""
+    f_star = trace.f_star if trace.f_star is not None else float(np.min(trace.f))
+    nonpos = np.nonzero(trace.f - f_star <= 0)[0]
+    end = int(nonpos[0]) - 1 if nonpos.size else len(trace) - 1
+    if end < 1:
+        raise ValueError("no positive-gap prefix to fit")
+    fit = fit_rate(trace, "linear_geometric", (end // 2, end), f_star=f_star)
+    passed = fit.fitted_factor < 1.0 and fit.r_squared > 0.95
+    n_fit = fit.window[1] - fit.window[0] + 1
+    return BoundReport("thm8_augl1", passed, fit.fitted_factor - 1.0, None, n_fit, 0)
+
+
+def _lemma1(trace, gap, cfg, big_r):
+    return trace.grad_norm**2 / (2.0 * big_r), trace.secant, trace.k, trace.dist_to_sol >= 1e-12
+
+
+def _lemma2(trace, gap, cfg, big_r, nu):
+    r = trace.dist_to_sol
+    lhs = trace.grad_norm**2 / (4.0 * big_r) + 0.5 * nu * r**2
+    return lhs, trace.secant, trace.k, r >= 1e-12
+
+
+def _lemma3(trace, gap, cfg, nu):
+    r = trace.dist_to_sol
+    return 0.5 * nu * r**2, gap, trace.k, (r >= 1e-12) & (gap >= gap[0] * 1e-15)
+
+
+_R, _DG, _DS = ("R", "L"), ("dist_to_sol", "gap"), ("dist_to_sol", "secant")
+_CHECKS = {
+    "thm1_sublinear": _Check(_thm1, _DG, (_R,), (_thm1_step,)),
+    "thm2_linear": _contraction(2.0, _R),
+    "thm2_converse": _Check(_thm2_converse, _DS),
+    "thm3_linear": _contraction(1.0, ("L",)),
+    "thm4_accel": _Check(_thm4, _DG, (_R,), (
+        lambda trace, *_: None if len(trace) >= 2 else "thm4 check needs at least two records",)),
+    "thm6_restart": _Check(_thm6, ("gap",), (), (
+        lambda trace, oracle, cfg: None if cfg.restart_every is not None
+        else "thm6 check needs cfg.restart_every",)),
+    "thm8_augl1": _Check(_thm8),
+    "lemma1_part2": _Check(_lemma1, _DS, (_R,)),
+    "lemma2_combined": _Check(_lemma2, _DS, (_R, ("nu",))),
+    "lemma3_growth": _Check(_lemma3, _DG, (("nu",),)),
+}
+THEOREM_IDS = tuple(_CHECKS)
+
+
 def check_bounds(
     trace: SolverTrace, oracle: Objective, theorem_id: str, cfg: SolverConfig
 ) -> BoundReport:
     """Check one displayed per-iteration inequality along a trace.
 
-    Supported ids and the inequality each verifies (slack 1 + 1e-9):
+    Each id is a row of `_CHECKS`, checked with slack 1 + 1e-9; r_k is
+    ``dist_to_sol``, s_k = <g_k, x_k - x_prj> is ``secant`` and gap_k = f_k - f*:
 
-    * thm1_sublinear:  gap_k <= 1 / (1/gap_0 + k a(2-a)/(2 R r_0^2)), a = hR
-    * thm2_linear:     r_{k+1} <= sqrt(1 - nu/(2R)) r_k   (while r_k >= 1e-12)
-    * thm2_converse:   secant inequality with nu = delta/(2h) from the
-      observed contraction (see `converse_secant`)
-    * thm3_linear:     r_{k+1} <= sqrt(1 - nu/L) r_k
-    * thm4_accel:      gap_k <= 4 R r_1^2 / (k+1)^2  for k >= 1
-    * thm6_restart:    gap at epoch j <= e^-j gap_0 (epoch length from cfg)
-    * thm8_augl1:      dual gap decays geometrically; the unknown dual f* is
-      surrogated by the best value seen, and the verdict is a terminal-window
-      geometric fit with rho < 1 and r^2 > 0.95
-    * lemma1_part2:    ||g_k||^2/(2R) <= <g_k, x_k - x_prj>
-    * lemma2_combined: <g_k, x_k-x_prj> >= ||g_k||^2/(4R) + (nu/2) r_k^2
-    * lemma3_growth:   gap_k >= (nu/2) r_k^2
+    * thm1_sublinear:  gap_k <= 1 / (1/gap_0 + k a(2-a)/(2 R r_0^2)), a = hR.
+      Reads r, gap; R, else L. Needs hR in (0, 1]. One per record; vacuous
+      where the bound < 1e-15 gap_0, all of them if gap_0 <= 0 or r_0 <= 1e-12.
+    * thm2_linear:     r_{k+1} <= sqrt(1 - nu/(2R)) r_k. Reads r; nu and R,
+      else L. Needs nu < 2R. One per step; vacuous where r_k < 1e-12.
+    * thm2_converse:   nu r_k^2 <= s_k, with nu = delta/(2h) from the observed
+      contraction (see `converse_secant`). Reads r, s. Needs h > 0 and a
+      contraction. One per step; vacuous where r_k <= 1e-8.
+    * thm3_linear:     r_{k+1} <= sqrt(1 - nu/L) r_k. Reads r; nu and L. Needs
+      nu < L. One per step; vacuous where r_k < 1e-12.
+    * thm4_accel:      gap_k <= 4 R r_1^2 / (k+1)^2. Reads r, gap; R, else L.
+      Needs two records. One per record from k = 1; all vacuous if r_1 <= 1e-12.
+    * thm6_restart:    gap at epoch j <= e^-j gap_0. Reads gap. Needs
+      cfg.restart_every, the epoch length. One per epoch start; vacuous where
+      the bound < 1e-15 gap_0, all of them if gap_0 <= 0.
+    * thm8_augl1:      the dual gap decays geometrically: the terminal-window
+      fit of `_thm8`, with the unknown dual f* surrogated by the best value
+      seen, has rho < 1 and r^2 > 0.95. Reads f only. Its report counts the
+      fit window as checked and nothing as vacuous.
+    * lemma1_part2:    ||g_k||^2/(2R) <= s_k. Reads r, s; R, else L. One per
+      record; vacuous where r_k < 1e-12.
+    * lemma2_combined: ||g_k||^2/(4R) + (nu/2) r_k^2 <= s_k. Reads r, s; R,
+      else L, and nu. One per record; vacuous where r_k < 1e-12.
+    * lemma3_growth:   (nu/2) r_k^2 <= gap_k. Reads r, gap; nu. One per
+      record; vacuous where r_k < 1e-12 or gap_k < 1e-15 gap_0.
 
-    Every check reads the trace's columns and the oracle's constants and
-    f_star only, never its ``eval`` or ``project``: ``<g_k, x_k - x_prj>`` is
-    the trace's ``secant``, formed by the run at the gradient it computed,
-    so a trace read back from its CSV gives the same report.
-    Iterates inside the solution set (r_k below 1e-12) and bound values
-    below the objective's floating-point resolution are vacuous and skipped;
-    the report counts them in ``n_vacuous`` beside the ``n_checked`` tested
-    ones. A trace that starts at the optimum passes trivially, with
-    ``n_checked == 0``; thm8_augl1 reports its fit window as ``n_checked``.
+    One driver runs every row. It rejects an unknown id, then a missing
+    column or constant, then a run outside a hypothesis, each with a
+    ``ValueError`` that names the cause; then it reports on the entries that
+    are not vacuous, counting the rest in ``n_vacuous``, so a trace that
+    starts at the optimum passes with ``n_checked == 0``. No check calls an
+    oracle method: s_k is formed by the run at the gradient it computed, so
+    a trace read back from its CSV gives the same report.
     """
-    if theorem_id not in THEOREM_IDS:
+    if theorem_id not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    r = trace.dist_to_sol
-    ks = trace.k
-
-    if theorem_id == "thm1_sublinear":
-        _need(trace, oracle, dist=True, gap=True)
-        big_r = _constant(oracle, "R", "L")
-        alpha = cfg.stepsize_h * big_r
-        if not 0 < alpha <= 1 + 1e-12:
-            raise ValueError(f"thm1 needs h in (0, 1/R]; got h*R = {alpha}")
-        gap = _gap_of(trace, oracle)
-        if gap[0] <= 0 or r[0] <= 1e-12:
-            # started at the optimum: nothing checkable
-            return _report(theorem_id, np.empty(0), ks, ks.size)
-        c = alpha * (2.0 - alpha) / (2.0 * big_r * r[0] ** 2)
-        bound = 1.0 / (1.0 / gap[0] + ks * c)
-        valid = bound >= gap[0] * 1e-15  # below fp resolution the bound is vacuous
-        return _report(theorem_id, _violations(gap[valid], bound[valid]), ks[valid], ks.size)
-
-    if theorem_id in ("thm2_linear", "thm3_linear"):
-        _need(trace, oracle, dist=True)
-        nu = _constant(oracle, "nu")
-        if theorem_id == "thm2_linear":
-            denom = 2.0 * _constant(oracle, "R", "L")
-        else:
-            denom = _constant(oracle, "L")
-        if nu >= denom:
-            raise ValueError(f"invalid constants: nu = {nu} >= {denom}")
-        rho = math.sqrt(1.0 - nu / denom)
-        valid = r[:-1] >= 1e-12
-        viol = _violations(r[1:][valid], rho * r[:-1][valid])
-        return _report(theorem_id, viol, ks[1:][valid], valid.size)
-
-    if theorem_id == "thm2_converse":
-        viol, ks_used = _converse_data(trace, oracle, cfg.stepsize_h)[3:]
-        return _report(theorem_id, viol, ks_used, len(trace) - 1)
-
-    if theorem_id == "thm4_accel":
-        _need(trace, oracle, dist=True, gap=True)
-        big_r = _constant(oracle, "R", "L")
-        if len(trace) < 2:
-            raise ValueError("thm4 check needs at least two records")
-        gap = _gap_of(trace, oracle)
-        r1 = r[1]
-        if r1 <= 1e-12:
-            return _report(theorem_id, np.empty(0), ks, len(trace) - 1)
-        bound = 4.0 * big_r * r1**2 / (ks[1:] + 1.0) ** 2
-        return _report(theorem_id, _violations(gap[1:], bound), ks[1:], len(trace) - 1)
-
-    if theorem_id == "thm6_restart":
-        _need(trace, oracle, gap=True)
-        if cfg.restart_every is None:
-            raise ValueError("thm6 check needs cfg.restart_every")
-        gap = _gap_of(trace, oracle)
-        epochs = np.arange(len(trace) // cfg.restart_every + 1)
-        boundary = epochs * cfg.restart_every
-        boundary = boundary[boundary < len(trace)]
-        epochs = epochs[: boundary.size]
-        if gap[0] <= 0:
-            return _report(theorem_id, np.empty(0), boundary, boundary.size)
-        bound = np.exp(-epochs.astype(float)) * gap[0]
-        valid = bound >= gap[0] * 1e-15
-        viol = _violations(gap[boundary][valid], bound[valid])
-        return _report(theorem_id, viol, boundary[valid], boundary.size)
-
-    if theorem_id == "thm8_augl1":
-        fit = _terminal_geometric_fit(trace)
-        passed = fit.fitted_factor < 1.0 and fit.r_squared > 0.95
-        n_fit = fit.window[1] - fit.window[0] + 1
-        return BoundReport(theorem_id, passed, fit.fitted_factor - 1.0, None, n_fit, 0)
-
-    if theorem_id in ("lemma1_part2", "lemma2_combined"):
-        _need(trace, oracle, dist=True, secant=True)
-        big_r = _constant(oracle, "R", "L")
-        gg = trace.grad_norm**2
-        if theorem_id == "lemma1_part2":
-            lhs = gg / (2.0 * big_r)
-        else:
-            lhs = gg / (4.0 * big_r) + 0.5 * _constant(oracle, "nu") * r**2
-        valid = r >= 1e-12
-        viol = _violations(lhs[valid], trace.secant[valid])
-        return _report(theorem_id, viol, ks[valid], ks.size)
-
-    # lemma3_growth
-    _need(trace, oracle, dist=True, gap=True)
-    nu = _constant(oracle, "nu")
-    gap = _gap_of(trace, oracle)
-    valid = (r >= 1e-12) & (gap >= gap[0] * 1e-15)  # below fp resolution: vacuous
-    viol = _violations(0.5 * nu * r[valid] ** 2, gap[valid])
-    return _report(theorem_id, viol, ks[valid], ks.size)
+    row = _CHECKS[theorem_id]
+    _need(trace, oracle, row.columns)
+    consts = [_constant(oracle, *names) for names in row.constants]
+    for hypothesis in row.hypotheses:
+        unmet = hypothesis(trace, oracle, cfg, *consts)
+        if unmet:
+            raise ValueError(unmet)
+    f_star = trace.f_star if trace.f_star is not None else oracle.f_star
+    gap = trace.f - f_star if "gap" in row.columns else None
+    out = row.sides(trace, gap, cfg, *consts)
+    if isinstance(out, BoundReport):
+        return out
+    lhs, rhs, ks, valid = out
+    return _report(theorem_id, _violations(lhs[valid], rhs[valid]), ks[valid], ks.size)
 
 
-def _terminal_geometric_fit(trace: SolverTrace) -> RateFit:
-    """Geometric fit on the terminal half of the positive-gap prefix.
-
-    Uses the best objective value seen as the f_star surrogate when the
-    trace carries none (the surrogate's own record necessarily drops out
-    of the positive prefix).
-    """
-    f_star = trace.f_star if trace.f_star is not None else float(np.min(trace.f))
-    gap = trace.f - f_star
-    positive = np.nonzero(gap <= 0)[0]
-    end = int(positive[0]) - 1 if positive.size else len(trace) - 1
-    if end < 1:
-        raise ValueError("no positive-gap prefix to fit")
-    start = end // 2
-    return fit_rate(trace, "linear_geometric", (start, end), f_star=f_star)
-
-
-def _converse_data(trace: SolverTrace, oracle: Objective, h: float):
-    _need(trace, oracle, dist=True, secant=True)
+def _converse_data(trace: SolverTrace, h: float):
+    """``(j, n, nu_hat, lhs, rhs, valid)``: the worst contraction's record j, the n
+    ``valid`` records (r_k > 1e-8) and the secant inequality's sides on every step."""
     if h <= 0:
         raise ValueError(f"stepsize must be positive, got {h}")
     r = trace.dist_to_sol
@@ -520,11 +518,10 @@ def _converse_data(trace: SolverTrace, oracle: Objective, h: float):
     if delta <= 0:
         raise ValueError(f"trace is not contracting (max ratio^2 = {ratios_sq[j]:.6f})")
     nu_hat = delta / (2.0 * h)
-
     # the contraction certifies the secant inequality at iterates with an
     # observed outgoing step, i.e. all but the final record
-    viol = _violations(nu_hat * r[:-1][valid] ** 2, trace.secant[:-1][valid])
-    return int(np.nonzero(valid)[0][j]), int(valid.sum()), nu_hat, viol, trace.k[:-1][valid]
+    lhs, rhs = nu_hat * r[:-1] ** 2, trace.secant[:-1]
+    return int(np.nonzero(valid)[0][j]), int(valid.sum()), nu_hat, lhs, rhs, valid
 
 
 def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> ConstantEstimate:
@@ -541,7 +538,9 @@ def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> Constant
     """
     if trace.iterates is None:
         raise ValueError("converse_secant needs stored iterates (run with keep_iterates=True)")
-    idx, n_ratios, nu_hat, viol, _ = _converse_data(trace, oracle, h)
+    _need(trace, oracle, ("dist_to_sol", "secant"))
+    idx, n_ratios, nu_hat, lhs, rhs, valid = _converse_data(trace, h)
+    viol = _violations(lhs[valid], rhs[valid])
     if viol.size and float(np.max(viol)) > SLACK:
         raise ArithmeticError(
             f"secant inequality violated along the trace (max violation "

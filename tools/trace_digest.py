@@ -33,6 +33,11 @@ that column was added:
   that only skips oracle calls keeps the digest;
 - ``secant``: the ``secant`` column of every trace of the ``quad`` set, then
   of the ``certify`` set;
+- ``checks``: for every trace of the ``quad`` set, then of the ``certify``
+  set, and every id of ``THEOREM_IDS`` in order, the ``to_json()`` of
+  ``check_bounds(trace, quad, id, cfg)`` with the run's own config, or the
+  message of the ``ValueError`` it raises where the id rejects the run. It
+  catches a moved verdict, violation or count of any bound check;
 - ``csv``: the bytes the CLI's writer (``cli._write_atomic`` of
   ``csv_blocks()``) makes of every result of the ``recover`` set and every
   trace of the ``quad`` set, then of one 20,001-record ``nesterov`` trace
@@ -53,6 +58,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from gradcert.certify import THEOREM_IDS, check_bounds  # noqa: E402
 from gradcert.cli import _write_atomic  # noqa: E402
 from gradcert.numkit import GaussianStream  # noqa: E402
 from gradcert.oracles import make_quadratic_composite  # noqa: E402
@@ -89,6 +95,15 @@ def _feed(h, *items) -> None:
         else:
             h.update(repr(item).encode())
         h.update(b"|")
+
+
+def _feed_checks(h, trace, oracle, cfg) -> None:
+    """Hash every id's report on one run, or the message of its refusal."""
+    for theorem_id in THEOREM_IDS:
+        try:
+            _feed(h, check_bounds(trace, oracle, theorem_id, cfg).to_json())
+        except ValueError as exc:
+            _feed(h, f"ValueError: {exc}")
 
 
 def _csv_writer(h, path: Path):
@@ -132,7 +147,7 @@ def _theory_quad(seed: int):
     return make_quadratic_composite(a, a @ stream.normal(50))
 
 
-def quad_digest(write_csv, secant) -> str:
+def quad_digest(write_csv, secant, checks) -> str:
     h = hashlib.sha256()
     for seed in (11, 12, 13, 14, 15):
         quad = _theory_quad(seed)
@@ -142,6 +157,7 @@ def quad_digest(write_csv, secant) -> str:
             _feed(h, cfg, tr.f, tr.grad_norm, tr.dist_to_sol, tr.reset_event, tr.status,
                   tr.f_star, tr.n_evals, *tr.iterates)
             _feed(secant, tr.secant)
+            _feed_checks(checks, tr, quad, cfg)
     return h.hexdigest()
 
 
@@ -165,7 +181,7 @@ def _certify_runs(quad, grad0: float):
     ]
 
 
-def certify_digest(secant) -> tuple[str, int]:
+def certify_digest(secant, checks) -> tuple[str, int]:
     h = hashlib.sha256()
     n_evals = 0
     for seed in (1, 2, 7919):
@@ -179,20 +195,22 @@ def certify_digest(secant) -> tuple[str, int]:
                 _feed(h, cfg, tr.f, tr.grad_norm, tr.dist_to_sol, tr.reset_event, tr.status,
                       tr.f_star, *(tr.iterates or ()))
                 _feed(secant, tr.secant)
+                _feed_checks(checks, tr, quad, cfg)
                 n_evals += tr.n_evals
     return h.hexdigest(), n_evals
 
 
 def main() -> None:
     print("blas_threads", _blas_threads())
-    csv_hash, secant_hash = hashlib.sha256(), hashlib.sha256()
+    csv_hash, secant_hash, checks_hash = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         write_csv = _csv_writer(csv_hash, Path(tmp) / "out.csv")
         print("recover", recover_digest(write_csv))
-        print("quad", quad_digest(write_csv, secant_hash))
-        digest, n_evals = certify_digest(secant_hash)
+        print("quad", quad_digest(write_csv, secant_hash, checks_hash))
+        digest, n_evals = certify_digest(secant_hash, checks_hash)
         print("certify", digest, f"n_evals={n_evals}")
         print("secant", secant_hash.hexdigest())
+        print("checks", checks_hash.hexdigest())
         quad = _theory_quad(11)
         cfg = SolverConfig(stepsize_h=1.0 / quad.constants.R, max_iters=20_000, variant="nesterov")
         write_csv(run_solver(quad, np.zeros(50), cfg, keep_iterates=False))
