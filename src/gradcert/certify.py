@@ -409,6 +409,11 @@ def _thm8(trace, gap, cfg):
     return BoundReport("thm8_augl1", passed, fit.fitted_factor - 1.0, None, n_fit, 0)
 
 
+def _augl1_dual(trace, oracle, cfg):
+    if oracle.primal is None:
+        return f"thm8 needs the augmented-l1 dual (an oracle with primal), not {oracle.name!r}"
+
+
 def _lemma1(trace, gap, cfg, big_r):
     return trace.grad_norm**2 / (2.0 * big_r), trace.secant, trace.k, trace.dist_to_sol >= 1e-12
 
@@ -435,7 +440,7 @@ _CHECKS = {
     "thm6_restart": _Check(_thm6, ("gap",), (), (
         lambda trace, oracle, cfg: None if cfg.restart_every is not None
         else "thm6 check needs cfg.restart_every",)),
-    "thm8_augl1": _Check(_thm8),
+    "thm8_augl1": _Check(_thm8, hypotheses=(_augl1_dual,)),
     "lemma1_part2": _Check(_lemma1, _DS, (_R,)),
     "lemma2_combined": _Check(_lemma2, _DS, (_R, ("nu",))),
     "lemma3_growth": _Check(_lemma3, _DG, (("nu",),)),
@@ -468,8 +473,9 @@ def check_bounds(
       the bound < 1e-15 gap_0, all of them if gap_0 <= 0.
     * thm8_augl1:      the dual gap decays geometrically: the terminal-window
       fit of `_thm8`, with the unknown dual f* surrogated by the best value
-      seen, has rho < 1 and r^2 > 0.95. Reads f only. Its report counts the
-      fit window as checked and nothing as vacuous.
+      seen, has rho < 1 and r^2 > 0.95. Reads f only. Needs the augmented-l1
+      dual, an oracle with ``primal``. Its report counts the fit window as
+      checked and nothing as vacuous.
     * lemma1_part2:    ||g_k||^2/(2R) <= s_k. Reads r, s; R, else L. One per
       record; vacuous where r_k < 1e-12.
     * lemma2_combined: ||g_k||^2/(4R) + (nu/2) r_k^2 <= s_k. Reads r, s; R,

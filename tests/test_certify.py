@@ -394,6 +394,8 @@ def test_lemma3_skips_gaps_below_resolution():
 
 
 def test_bound_report_counts_checked_and_vacuous():
+    from gradcert.oracles import make_augl1_dual
+
     unit = make_quadratic_composite(np.array([[1.0]]), np.array([0.0]))
     cfg = SolverConfig(stepsize_h=0.5, max_iters=5, variant="gd")
     dist = np.array([1.0, 0.5, 0.25, 1e-13, 1e-14, 0.0])
@@ -405,8 +407,10 @@ def test_bound_report_counts_checked_and_vacuous():
     report = check_bounds(make_trace(gap, dist=dist), unit, "lemma3_growth", cfg)
     assert (report.n_checked, report.n_vacuous) == (3, 3)
     # thm8 fits f - min f over the terminal half of its positive prefix,
-    # here k = 19..38, and skips nothing
-    report = check_bounds(make_trace(0.5 ** np.arange(40), f_star=None), unit, "thm8_augl1", cfg)
+    # here k = 19..38, and skips nothing; it is a theorem on the augl1 dual
+    a = GaussianStream(2).normal((3, 7))
+    dual = make_augl1_dual(a, a @ np.ones(7), 1.0)
+    report = check_bounds(make_trace(0.5 ** np.arange(40), f_star=None), dual, "thm8_augl1", cfg)
     assert report.passed
     assert (report.n_checked, report.n_vacuous) == (20, 0)
 
