@@ -358,11 +358,6 @@ def _thm1(trace, gap, cfg, big_r):
     return gap, bound, ks, bound >= gap[0] * 1e-15  # below fp resolution: vacuous
 
 
-def _thm1_step(trace, oracle, cfg, big_r):
-    alpha = cfg.stepsize_h * big_r
-    return None if 0 < alpha <= 1 + 1e-12 else f"thm1 needs h in (0, 1/R]; got h*R = {alpha}"
-
-
 def _contraction(scale: float, c: tuple[str, ...]) -> _Check:
     """The row r_{k+1} <= sqrt(1 - nu/(scale c)) r_k, on the hypothesis nu < scale c."""
 
@@ -409,11 +404,6 @@ def _thm8(trace, gap, cfg):
     return BoundReport("thm8_augl1", passed, fit.fitted_factor - 1.0, None, n_fit, 0)
 
 
-def _augl1_dual(trace, oracle, cfg):
-    if oracle.primal is None:
-        return f"thm8 needs the augmented-l1 dual (an oracle with primal), not {oracle.name!r}"
-
-
 def _lemma1(trace, gap, cfg, big_r):
     return trace.grad_norm**2 / (2.0 * big_r), trace.secant, trace.k, trace.dist_to_sol >= 1e-12
 
@@ -431,7 +421,9 @@ def _lemma3(trace, gap, cfg, nu):
 
 _R, _DG, _DS = ("R", "L"), ("dist_to_sol", "gap"), ("dist_to_sol", "secant")
 _CHECKS = {
-    "thm1_sublinear": _Check(_thm1, _DG, (_R,), (_thm1_step,)),
+    "thm1_sublinear": _Check(_thm1, _DG, (_R,), (
+        lambda trace, oracle, cfg, big_r: None if 0 < cfg.stepsize_h * big_r <= 1 + 1e-12
+        else f"thm1 needs h in (0, 1/R]; got h*R = {cfg.stepsize_h * big_r}",)),
     "thm2_linear": _contraction(2.0, _R),
     "thm2_converse": _Check(_thm2_converse, _DS),
     "thm3_linear": _contraction(1.0, ("L",)),
@@ -440,7 +432,9 @@ _CHECKS = {
     "thm6_restart": _Check(_thm6, ("gap",), (), (
         lambda trace, oracle, cfg: None if cfg.restart_every is not None
         else "thm6 check needs cfg.restart_every",)),
-    "thm8_augl1": _Check(_thm8, hypotheses=(_augl1_dual,)),
+    "thm8_augl1": _Check(_thm8, hypotheses=(
+        lambda trace, oracle, cfg: None if oracle.primal is not None
+        else f"thm8 needs the augmented-l1 dual (an oracle with primal), not {oracle.name!r}",)),
     "lemma1_part2": _Check(_lemma1, _DS, (_R,)),
     "lemma2_combined": _Check(_lemma2, _DS, (_R, ("nu",))),
     "lemma3_growth": _Check(_lemma3, _DG, (("nu",),)),
@@ -453,35 +447,37 @@ def check_bounds(
 ) -> BoundReport:
     """Check one displayed per-iteration inequality along a trace.
 
-    Each id is a row of `_CHECKS`, checked with slack 1 + 1e-9; r_k is
-    ``dist_to_sol``, s_k = <g_k, x_k - x_prj> is ``secant`` and gap_k = f_k - f*:
+    Each id is a row of `_CHECKS`, checked with slack 1 + 1e-9. A row lists
+    its inequality; the columns it reads; its constants, "R|L" meaning R,
+    else L; its hypotheses on the run; what it states one inequality for
+    (n_stated counts them); and its vacuity rule. r_k is ``dist_to_sol``,
+    s_k = <g_k, x_k - x_prj> is ``secant`` and gap_k = f_k - f*:
 
-    * thm1_sublinear:  gap_k <= 1 / (1/gap_0 + k a(2-a)/(2 R r_0^2)), a = hR.
-      Reads r, gap; R, else L. Needs hR in (0, 1]. One per record; vacuous
-      where the bound < 1e-15 gap_0, all of them if gap_0 <= 0 or r_0 <= 1e-12.
-    * thm2_linear:     r_{k+1} <= sqrt(1 - nu/(2R)) r_k. Reads r; nu and R,
-      else L. Needs nu < 2R. One per step; vacuous where r_k < 1e-12.
-    * thm2_converse:   nu r_k^2 <= s_k, with nu = delta/(2h) from the observed
-      contraction (see `converse_secant`). Reads r, s. Needs h > 0 and a
-      contraction. One per step; vacuous where r_k <= 1e-8.
-    * thm3_linear:     r_{k+1} <= sqrt(1 - nu/L) r_k. Reads r; nu and L. Needs
-      nu < L. One per step; vacuous where r_k < 1e-12.
-    * thm4_accel:      gap_k <= 4 R r_1^2 / (k+1)^2. Reads r, gap; R, else L.
-      Needs two records. One per record from k = 1; all vacuous if r_1 <= 1e-12.
-    * thm6_restart:    gap at epoch j <= e^-j gap_0. Reads gap. Needs
-      cfg.restart_every, the epoch length. One per epoch start; vacuous where
-      the bound < 1e-15 gap_0, all of them if gap_0 <= 0.
-    * thm8_augl1:      the dual gap decays geometrically: the terminal-window
-      fit of `_thm8`, with the unknown dual f* surrogated by the best value
-      seen, has rho < 1 and r^2 > 0.95. Reads f only. Needs the augmented-l1
-      dual, an oracle with ``primal``. Its report counts the fit window as
-      checked and nothing as vacuous.
-    * lemma1_part2:    ||g_k||^2/(2R) <= s_k. Reads r, s; R, else L. One per
-      record; vacuous where r_k < 1e-12.
-    * lemma2_combined: ||g_k||^2/(4R) + (nu/2) r_k^2 <= s_k. Reads r, s; R,
-      else L, and nu. One per record; vacuous where r_k < 1e-12.
-    * lemma3_growth:   (nu/2) r_k^2 <= gap_k. Reads r, gap; nu. One per
-      record; vacuous where r_k < 1e-12 or gap_k < 1e-15 gap_0.
+    * thm1_sublinear:  gap_k <= 1 / (1/gap_0 + k a(2-a)/(2 R r_0^2)), a = hR;
+      r, gap; R|L; hR in (0, 1]; each record; bound < 1e-15 gap_0, or every
+      record if gap_0 <= 0 or r_0 <= 1e-12.
+    * thm2_linear:     r_{k+1} <= sqrt(1 - nu/(2R)) r_k; r; nu, R|L; nu < 2R;
+      each step; r_k < 1e-12.
+    * thm2_converse:   nu r_k^2 <= s_k, nu = delta/(2h) from the observed
+      contraction (see `converse_secant`); r, s; none; h > 0 and a
+      contraction; each step; r_k <= 1e-8.
+    * thm3_linear:     r_{k+1} <= sqrt(1 - nu/L) r_k; r; nu, L; nu < L; each
+      step; r_k < 1e-12.
+    * thm4_accel:      gap_k <= 4 R r_1^2 / (k+1)^2; r, gap; R|L; two records;
+      each record from k = 1; every record if r_1 <= 1e-12.
+    * thm6_restart:    gap at epoch j <= e^-j gap_0; gap; none;
+      cfg.restart_every, the epoch length; each epoch start; bound < 1e-15
+      gap_0, or every epoch if gap_0 <= 0.
+    * thm8_augl1:      the dual gap decays geometrically: `_thm8`'s terminal-
+      window fit, with the unknown dual f* surrogated by the best value seen,
+      has rho < 1 and r^2 > 0.95; f; none; an oracle with ``primal``, i.e.
+      the augmented-l1 dual; the fit window, all checked; none.
+    * lemma1_part2:    ||g_k||^2/(2R) <= s_k; r, s; R|L; none; each record;
+      r_k < 1e-12.
+    * lemma2_combined: ||g_k||^2/(4R) + (nu/2) r_k^2 <= s_k; r, s; R|L, nu;
+      none; each record; r_k < 1e-12.
+    * lemma3_growth:   (nu/2) r_k^2 <= gap_k; r, gap; nu; none; each record;
+      r_k < 1e-12 or gap_k < 1e-15 gap_0.
 
     One driver runs every row. It rejects an unknown id, then a missing
     column or constant, then a run outside a hypothesis, each with a
@@ -598,18 +594,21 @@ def fit_rate(
         truncated = True
     if gap.size < 10:
         raise ValueError(f"only {gap.size} positive gap points in window; need >= 10")
-    ks = np.arange(k0, k1 + 1, dtype=np.float64)
+    x = np.arange(k0, k1 + 1, dtype=np.float64)
+    if model != "linear_geometric":
+        np.log(x, out=x)
     y = np.log(gap)
-    x = ks if model == "linear_geometric" else np.log(ks)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    # least squares over centred sums, a few arrays of the window
+    x -= x.mean()
+    y -= y.mean()
+    slope = float(np.sum(x * y) / np.sum(x * x))
+    ss_res = float(np.sum((y - slope * x) ** 2))
+    ss_tot = float(np.sum(y * y))
     if ss_tot <= _TINY:
         r_sq = 1.0 if ss_res <= 1e-12 else 0.0
     else:
         r_sq = max(0.0, 1.0 - ss_res / ss_tot)
-    factor = math.exp(slope) if model == "linear_geometric" else float(slope)
+    factor = math.exp(slope) if model == "linear_geometric" else slope
     return RateFit(model, factor, r_sq, (k0, k1), truncated)
 
 
@@ -680,14 +679,5 @@ def appendix_grid(big_r: float, nu: float, grid_steps: int) -> GridOptimum:
     lo = thetas / big_r
     best_b = _grid_case(thetas, lo, 4.0 / big_r - lo, np.linspace(0.0, 1.0, n + 1), 2.0 * big_r,
                         2.0 * thetas * big_r + (1.0 - thetas) * nu)
-    if best_a[0] <= best_b[0]:
-        min_value, theta_star, h_star = best_a
-    else:
-        min_value, theta_star, h_star = best_b
-    return GridOptimum(
-        theta_star=theta_star,
-        h_star=h_star,
-        min_value=min_value,
-        case_a_value=best_a[0],
-        case_b_value=best_b[0],
-    )
+    min_value, theta_star, h_star = best_a if best_a[0] <= best_b[0] else best_b
+    return GridOptimum(theta_star, h_star, min_value, best_a[0], best_b[0])
