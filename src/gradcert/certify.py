@@ -335,12 +335,16 @@ def _constant(oracle: Objective, *names: str) -> float:
 
 @dataclass(frozen=True)
 class _Check:
-    """One row of `_CHECKS`: ``sides(trace, gap, cfg, *constants)`` gives ``(lhs, rhs, ks,
-    valid)``, the sides of ``lhs <= rhs`` with one entry per inequality stated along the
-    trace (n_stated is ``ks.size``), the record of each and the mask of those that are not
-    vacuous, or a fitted row's verdict. ``columns`` are the trace columns it reads ("gap"
-    needs f_star); ``constants`` go to ``sides``, each the first set one of its chain; a
-    hypothesis ``(trace, oracle, cfg, *constants)`` returns its name when the run fails it.
+    """One row of `_CHECKS`.
+
+    ``sides(trace, gap, cfg, *constants)`` returns ``(lhs, rhs, ks, valid)``:
+    the sides of ``lhs <= rhs``, one entry per inequality the theorem states
+    along the trace (so n_stated is ``ks.size``); the record of each; and the
+    entries that are not vacuous, as a mask, or as a slice where the rule
+    keeps all or none. A fitted row returns its verdict instead. ``columns``
+    are the trace columns it reads ("gap" needs f_star); ``constants`` are
+    passed to ``sides``, each the first one set of its chain; a hypothesis
+    ``(trace, oracle, cfg, *constants)`` returns its name if the run fails it.
     """
 
     sides: Callable
@@ -352,7 +356,7 @@ class _Check:
 def _thm1(trace, gap, cfg, big_r):
     r, ks = trace.dist_to_sol, trace.k
     if gap[0] <= 0 or r[0] <= 1e-12:  # started at the optimum: nothing checkable
-        return gap, gap, ks, np.zeros(ks.size, dtype=bool)
+        return gap, gap, ks, slice(0)
     alpha = cfg.stepsize_h * big_r
     bound = 1.0 / (1.0 / gap[0] + ks * (alpha * (2.0 - alpha) / (2.0 * big_r * r[0] ** 2)))
     return gap, bound, ks, bound >= gap[0] * 1e-15  # below fp resolution: vacuous
@@ -379,7 +383,7 @@ def _thm2_converse(trace, gap, cfg):
 def _thm4(trace, gap, cfg, big_r):
     r1, ks = trace.dist_to_sol[1], trace.k[1:]
     bound = 4.0 * big_r * r1**2 / (ks + 1.0) ** 2
-    return gap[1:], bound, ks, np.full(ks.size, not r1 <= 1e-12)
+    return gap[1:], bound, ks, slice(None) if not r1 <= 1e-12 else slice(0)
 
 
 def _thm6(trace, gap, cfg):

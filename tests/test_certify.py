@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from gradcert.certify import (
+    THEOREM_IDS,
     BoundReport,
+    _CHECKS,
     _ROWS,
     _sample_blocks,
     appendix_grid,
@@ -345,6 +347,26 @@ def test_converse_secant_needs_the_iterates_for_its_witness(quad_20x50):
     tr, cfg, _ = _secant_reports(quad_20x50)
     with pytest.raises(ValueError, match="iterates"):
         converse_secant(dataclasses.replace(tr, iterates=None), quad_20x50, cfg.stepsize_h)
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_every_row_names_the_column_it_lacks(quad_20x50, theorem_id):
+    # a gap needs f_star from the trace or the oracle; the other columns are the trace's
+    tr, cfg = run_gd(quad_20x50, 1.0 / (2.0 * quad_20x50.constants.R), 20, x0=np.ones(50))
+    for column in _CHECKS[theorem_id].columns:
+        if column == "gap":
+            cut, oracle, name = (dataclasses.replace(tr, f_star=None),
+                                 dataclasses.replace(quad_20x50, f_star=None), "f_star")
+        else:
+            cut, oracle, name = dataclasses.replace(tr, **{column: None}), quad_20x50, column
+        with pytest.raises(ValueError, match=name):
+            check_bounds(cut, oracle, theorem_id, cfg)
+
+
+def test_thm8_needs_the_augl1_dual(quad_20x50):
+    tr, cfg = run_gd(quad_20x50, 1.0 / quad_20x50.constants.L, 200)
+    with pytest.raises(ValueError, match="augmented-l1 dual"):
+        check_bounds(tr, quad_20x50, "thm8_augl1", cfg)
 
 
 def test_gap_dominated_by_distance_bound(quad_20x50):

@@ -180,6 +180,15 @@ def test_verify_pass_and_fail(tmp_path):
     assert bad == 1
 
 
+def test_verify_refuses_a_run_outside_the_hypothesis(tmp_path, capsys):
+    # thm8 is a theorem on the augmented-l1 dual, so a quad run is a usage error
+    code = run_cli("verify", "--oracle", "quad:m=20,n=50,seed=7", "--variant", "gd",
+                   "--h", "auto", "--max-iters", "2000", "--theorem", "thm8_augl1",
+                   "--out", str(tmp_path / "v"))
+    assert code == 2
+    assert "augmented-l1 dual" in capsys.readouterr().err
+
+
 def test_rates_on_synthetic_trace(tmp_path):
     ks = np.arange(50)
     trace = SolverTrace(

@@ -22,7 +22,8 @@ whole-array forms return, bit for bit, and keep their one-sided bounds:
 `estimate_rlg` never above L, `estimate_rsi` never below lambda_min(A A^T).
 On random quads started at 10 N(0, I), thm1, thm2, thm3, thm4, thm6,
 lemma1 and lemma2 must pass at their theory stepsizes, each with at least
-one checked inequality. Reading back a trace's CSV text must give the
+one checked inequality, and every check must give the same report, or
+refusal, on a run of each scheme and on its CSV text read back. Reading back a trace's CSV text must give the
 trace again, iterates aside, bit for bit.
 Moving the random stream's counter must skip exactly the draws passed
 over, and splitting a draw into several calls must give the whole draw. Gradient
@@ -40,6 +41,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gradcert.certify import (
+    THEOREM_IDS,
     _ROWS,
     GridOptimum,
     _blocks,
@@ -734,6 +736,36 @@ def test_theorem_checks_pass_at_their_theory_stepsizes(case):
         for theorem in theorems:
             report = check_bounds(trace, quad, theorem, cfg)
             assert report.passed and report.n_checked > 0, report
+
+
+def _outcome(trace, quad, theorem, cfg) -> str:
+    """One check's report as JSON, or the message of its refusal."""
+    try:
+        return check_bounds(trace, quad, theorem, cfg).to_json()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(theorem_quads())
+def test_every_check_reads_the_same_from_the_trace_csv(tmp_path_factory, case):
+    quad, x0 = case
+    big_r, nu = quad.constants.R, quad.constants.nu
+    k_len = math.ceil(math.sqrt(8.0 * math.e * big_r / nu))
+    path = tmp_path_factory.getbasetemp() / "checks.csv"
+    for cfg in (
+        SolverConfig(1.0 / (2.0 * big_r), 200),
+        SolverConfig(1.0 / big_r, 200, variant="nesterov"),
+        SolverConfig(1.0 / big_r, 2 * k_len + 1, variant="restart_fixed", restart_every=k_len),
+        SolverConfig(1.0 / big_r, 200, variant="adaptive", policy="restart"),
+        SolverConfig(1.0 / big_r, 200, variant="adaptive", policy="skip"),
+    ):
+        trace = run_solver(quad, x0, cfg)
+        path.write_text(trace.to_csv(), encoding="ascii")
+        back = load_trace_csv(path)
+        for theorem in THEOREM_IDS:
+            assert _outcome(back, quad, theorem, cfg) == _outcome(trace, quad, theorem, cfg), (
+                cfg, theorem)
 
 
 # repr writes every NaN as "nan", so the canonical NaN is the one a CSV can carry
