@@ -300,20 +300,17 @@ def estimate_rlg(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
 # bound checking
 
 
-def _violations(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Scale-free violations of lhs <= rhs (negative or ~0 means satisfied)."""
-    return (lhs - rhs) / np.maximum(np.abs(rhs), _TINY)
+def _report(theorem_id: str, lhs, rhs, ks: np.ndarray, valid) -> BoundReport:
+    """Verdict on ``lhs <= rhs``, one inequality per record of ``ks``, checked where ``valid``.
 
-
-def _report(theorem_id: str, viol: np.ndarray, ks: np.ndarray, n_stated: int) -> BoundReport:
-    """Verdict on the checked violations ``viol`` at iterations ``ks``.
-
-    ``n_stated`` is the number of inequalities the theorem states along the
-    trace; those without a violation entry were skipped as vacuous.
+    The entries outside ``valid`` are vacuous. A violation is scale-free,
+    ``(lhs - rhs) / |rhs|``: negative or ~0 means satisfied.
     """
+    lhs, rhs, checked = lhs[valid], rhs[valid], ks[valid]
+    viol = (lhs - rhs) / np.maximum(np.abs(rhs), _TINY)
     max_v = float(np.max(viol)) if viol.size else 0.0
-    first = None if max_v <= SLACK else int(ks[int(np.argmax(viol > SLACK))])
-    return BoundReport(theorem_id, first is None, max_v, first, viol.size, n_stated - viol.size)
+    first = None if max_v <= SLACK else int(checked[int(np.argmax(viol > SLACK))])
+    return BoundReport(theorem_id, first is None, max_v, first, viol.size, ks.size - viol.size)
 
 
 def _need(trace: SolverTrace, oracle: Objective, columns) -> None:
@@ -375,15 +372,10 @@ def _contraction(scale: float, c: tuple[str, ...]) -> _Check:
     return _Check(sides, ("dist_to_sol",), (("nu",), c), (nu_below,))
 
 
-def _thm2_converse(trace, gap, cfg):
-    lhs, rhs, valid = _converse_data(trace, cfg.stepsize_h)[3:]
-    return lhs, rhs, trace.k[:-1], valid
-
-
 def _thm4(trace, gap, cfg, big_r):
     r1, ks = trace.dist_to_sol[1], trace.k[1:]
     bound = 4.0 * big_r * r1**2 / (ks + 1.0) ** 2
-    return gap[1:], bound, ks, slice(None) if not r1 <= 1e-12 else slice(0)
+    return gap[1:], bound, ks, slice(0) if r1 <= 1e-12 else slice(None)
 
 
 def _thm6(trace, gap, cfg):
@@ -429,7 +421,7 @@ _CHECKS = {
         lambda trace, oracle, cfg, big_r: None if 0 < cfg.stepsize_h * big_r <= 1 + 1e-12
         else f"thm1 needs h in (0, 1/R]; got h*R = {cfg.stepsize_h * big_r}",)),
     "thm2_linear": _contraction(2.0, _R),
-    "thm2_converse": _Check(_thm2_converse, _DS),
+    "thm2_converse": _Check(lambda trace, gap, cfg: _converse_data(trace, cfg.stepsize_h)[3], _DS),
     "thm3_linear": _contraction(1.0, ("L",)),
     "thm4_accel": _Check(_thm4, _DG, (_R,), (
         lambda trace, *_: None if len(trace) >= 2 else "thm4 check needs at least two records",)),
@@ -503,15 +495,12 @@ def check_bounds(
     f_star = trace.f_star if trace.f_star is not None else oracle.f_star
     gap = trace.f - f_star if "gap" in row.columns else None
     out = row.sides(trace, gap, cfg, *consts)
-    if isinstance(out, BoundReport):
-        return out
-    lhs, rhs, ks, valid = out
-    return _report(theorem_id, _violations(lhs[valid], rhs[valid]), ks[valid], ks.size)
+    return out if isinstance(out, BoundReport) else _report(theorem_id, *out)
 
 
 def _converse_data(trace: SolverTrace, h: float):
-    """``(j, n, nu_hat, lhs, rhs, valid)``: the worst contraction's record j, the n
-    ``valid`` records (r_k > 1e-8) and the secant inequality's sides on every step."""
+    """``(j, n, nu_hat, sides)``: the worst contraction's record j, the n records with
+    r_k > 1e-8 and the secant inequality's `_report` arguments, one per step."""
     if h <= 0:
         raise ValueError(f"stepsize must be positive, got {h}")
     r = trace.dist_to_sol
@@ -526,8 +515,8 @@ def _converse_data(trace: SolverTrace, h: float):
     nu_hat = delta / (2.0 * h)
     # the contraction certifies the secant inequality at iterates with an
     # observed outgoing step, i.e. all but the final record
-    lhs, rhs = nu_hat * r[:-1] ** 2, trace.secant[:-1]
-    return int(np.nonzero(valid)[0][j]), int(valid.sum()), nu_hat, lhs, rhs, valid
+    sides = nu_hat * r[:-1] ** 2, trace.secant[:-1], trace.k[:-1], valid
+    return int(np.nonzero(valid)[0][j]), int(valid.sum()), nu_hat, sides
 
 
 def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> ConstantEstimate:
@@ -545,12 +534,12 @@ def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> Constant
     if trace.iterates is None:
         raise ValueError("converse_secant needs stored iterates (run with keep_iterates=True)")
     _need(trace, oracle, ("dist_to_sol", "secant"))
-    idx, n_ratios, nu_hat, lhs, rhs, valid = _converse_data(trace, h)
-    viol = _violations(lhs[valid], rhs[valid])
-    if viol.size and float(np.max(viol)) > SLACK:
+    idx, n_ratios, nu_hat, sides = _converse_data(trace, h)
+    worst = _report("thm2_converse", *sides).max_violation
+    if worst > SLACK:
         raise ArithmeticError(
             f"secant inequality violated along the trace (max violation "
-            f"{float(np.max(viol)):.3e}); trace and oracle are inconsistent"
+            f"{worst:.3e}); trace and oracle are inconsistent"
         )
     return ConstantEstimate(
         value=nu_hat,
@@ -683,5 +672,14 @@ def appendix_grid(big_r: float, nu: float, grid_steps: int) -> GridOptimum:
     lo = thetas / big_r
     best_b = _grid_case(thetas, lo, 4.0 / big_r - lo, np.linspace(0.0, 1.0, n + 1), 2.0 * big_r,
                         2.0 * thetas * big_r + (1.0 - thetas) * nu)
-    min_value, theta_star, h_star = best_a if best_a[0] <= best_b[0] else best_b
-    return GridOptimum(theta_star, h_star, min_value, best_a[0], best_b[0])
+    if best_a[0] <= best_b[0]:
+        min_value, theta_star, h_star = best_a
+    else:
+        min_value, theta_star, h_star = best_b
+    return GridOptimum(
+        theta_star=theta_star,
+        h_star=h_star,
+        min_value=min_value,
+        case_a_value=best_a[0],
+        case_b_value=best_b[0],
+    )
