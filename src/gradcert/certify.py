@@ -306,10 +306,10 @@ def _report(theorem_id: str, lhs, rhs, ks: np.ndarray, valid) -> BoundReport:
     The entries outside ``valid`` are vacuous. A violation is scale-free,
     ``(lhs - rhs) / |rhs|``: negative or ~0 means satisfied.
     """
-    lhs, rhs, checked = lhs[valid], rhs[valid], ks[valid]
-    viol = (lhs - rhs) / np.maximum(np.abs(rhs), _TINY)
+    rhs = rhs[valid]
+    viol = (lhs[valid] - rhs) / np.maximum(np.abs(rhs), _TINY)
     max_v = float(np.max(viol)) if viol.size else 0.0
-    first = None if max_v <= SLACK else int(checked[int(np.argmax(viol > SLACK))])
+    first = None if max_v <= SLACK else int(ks[valid][int(np.argmax(viol > SLACK))])
     return BoundReport(theorem_id, first is None, max_v, first, viol.size, ks.size - viol.size)
 
 

@@ -23,8 +23,9 @@ whole-array forms return, bit for bit, and keep their one-sided bounds:
 On random quads started at 10 N(0, I), thm1, thm2, thm3, thm4, thm6,
 lemma1 and lemma2 must pass at their theory stepsizes, each with at least
 one checked inequality, and every check must give the same report, or
-refusal, on a run of each scheme and on its CSV text read back. Reading back a trace's CSV text must give the
-trace again, iterates aside, bit for bit.
+refusal, on a run of each scheme and on its CSV text read back. Reading
+back a trace's CSV text must give the trace again, iterates aside, bit
+for bit.
 Moving the random stream's counter must skip exactly the draws passed
 over, and splitting a draw into several calls must give the whole draw. Gradient
 descent and Nesterov's scheme must match plain in-test loops bit for bit;
