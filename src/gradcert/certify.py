@@ -475,11 +475,11 @@ def check_bounds(
     * lemma3_growth:   (nu/2) r_k^2 <= gap_k; r, gap; nu; none; each record;
       r_k < 1e-12 or gap_k < 1e-15 gap_0.
 
-    One driver runs every row. It rejects an unknown id, then a missing
-    column or constant, then a run outside a hypothesis, each with a
-    ``ValueError`` that names the cause; then it reports on the entries that
-    are not vacuous, counting the rest in ``n_vacuous``, so a trace that
-    starts at the optimum passes with ``n_checked == 0``. No check calls an
+    Every row takes the same steps: an unknown id, a missing column or
+    constant, and a run outside a hypothesis are refused in that order, each
+    with a ``ValueError`` that names the cause; then the entries that are not
+    vacuous are reported on and the rest counted in ``n_vacuous``, so a trace
+    that starts at the optimum passes with ``n_checked == 0``. No check calls an
     oracle method: s_k is formed by the run at the gradient it computed, so
     a trace read back from its CSV gives the same report.
     """
