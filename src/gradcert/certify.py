@@ -172,7 +172,10 @@ def estimate_rsi(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
     Samples with ``||x - x_prj|| <= 1e-8`` (inside or hugging the solution
     set) and samples with non-finite gradients are excluded. The sampled
     minimum can only over-estimate the true infimum. It holds one block of
-    samples at a time, whatever ``n_samples``.
+    samples at a time, whatever ``n_samples``: the block's points, gradients,
+    projections and differences, and one ratio per row. Every row's ratio is
+    formed in place; an excluded row's reads +inf, so it never wins the
+    block's minimum, which is the first one, NaN first, among the kept rows.
     """
     if oracle.project is None:
         raise ValueError("secant estimation needs an oracle with a projection")
@@ -185,26 +188,43 @@ def estimate_rsi(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
         if prj.shape != pts.shape:
             raise ValueError(f"projection of a {pts.shape} batch returned shape {prj.shape}")
         diff = pts - prj
-        dn = np.linalg.norm(diff, axis=1)
-        mask = (dn > 1e-8) & np.all(np.isfinite(grads), axis=1)
-        if mask.any():
-            ratios = np.einsum("ij,ij->i", grads[mask], diff[mask]) / dn[mask] ** 2
-            i = int(np.argmin(ratios))
-            # first occurrence, NaN first: np.argmin over all blocks at once
-            if ratios[i] < value or np.isnan(ratios[i]):
-                value, witness = float(ratios[i]), pts[mask][i].copy()
-        used += int(mask.sum())
+        del prj
+        keep = np.isfinite(grads).all(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = np.einsum("ij,ij->i", grads, diff)
+            del grads
+            dn = _row_norms(diff)
+            del diff
+            keep &= dn > 1e-8
+            ratios /= np.square(dn, out=dn)
+        ratios[~keep] = np.inf
+        i = int(np.argmin(ratios))
+        # first occurrence, NaN first: np.argmin over all blocks at once. A block
+        # whose kept ratios are all +inf, or that keeps no row, leaves the minimum
+        if ratios[i] < value or np.isnan(ratios[i]):
+            value, witness = float(ratios[i]), pts[i].copy()
+        used += int(np.count_nonzero(keep))
     if not used:
         raise ValueError("no sample fell outside the solution set; cannot estimate")
     return ConstantEstimate(value, witness, "projection_ratio", used)
 
 
-def _pair_ratios(xa, xb, ga, gb) -> np.ndarray:
-    dn = np.linalg.norm(xa - xb, axis=1)
-    gn = np.linalg.norm(ga - gb, axis=1)
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(d, axis=1)`` with its bits, squaring d in place for its temporary."""
+    sq = np.add.reduce(np.multiply(d, d, out=d), axis=1)
+    return np.sqrt(sq, out=sq)
+
+
+def _norm_ratios(gn: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """``gn / dn`` in place in gn, or -inf where ``dn <= 1e-12``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(dn > 1e-12, gn / dn, -np.inf)
-    return r
+        gn /= dn
+    gn[~(dn > 1e-12)] = -np.inf
+    return gn
+
+
+def _pair_ratios(xa, xb, ga, gb) -> np.ndarray:
+    return _norm_ratios(_row_norms(ga - gb), _row_norms(xa - xb))
 
 
 def _start_ratio(z: np.ndarray, gz: np.ndarray) -> tuple[float, tuple | None]:
@@ -248,11 +268,16 @@ def estimate_rlg(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
     descent segments from z to ``z - (1/R) grad f(z)``, keeping a running
     max until the value stops growing (relative 1e-6) or 50 sweeps. The
     sweeps are random, so more samples can give a slightly smaller estimate.
-    It holds the cloud and its gradients plus one block of a sweep's pairs.
+    It holds the cloud once, filled block by block, and its gradients, plus
+    one block of a sweep's pairs: the block's sample rows and segment
+    directions, gathered once for both endpoints, become the endpoints'
+    differences in place, and each block array is freed once it is used.
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
-    z = np.concatenate(list(_sample_blocks(oracle, domain, n_samples, seed)))
+    z = np.empty((n_samples, oracle.dim))
+    for (r0, r1), pts in zip(_blocks(n_samples), _sample_blocks(oracle, domain, n_samples, seed)):
+        z[r0:r1] = pts
     _, gz = _eval_batch(oracle, z)
     if not np.all(np.isfinite(gz)):
         bad = z[~np.all(np.isfinite(gz), axis=1)][0]
@@ -271,21 +296,31 @@ def estimate_rlg(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
     for _ in range(50):
         seg, top = gz / value, -np.inf
         for r0, r1 in _blocks(rows):
-            # endpoints z - (u / R) grad f(z) for two fresh u in [0, 1] per pair
+            # endpoints z - (u / R) grad f(z) for two fresh u in [0, 1] per pair,
+            # xb in the gathered directions and xa - xb in the gathered rows
             at = np.arange(r0, r1) % n_samples
-            xa = z[at] - draws_a.uniform(r1 - r0)[:, None] * seg[at]
-            xb = z[at] - draws_b.uniform(r1 - r0)[:, None] * seg[at]
+            zs, xb = z[at], seg[at]
+            del at
+            xa = np.multiply(draws_a.uniform(r1 - r0)[:, None], xb)
+            np.subtract(zs, xa, out=xa)
+            np.multiply(draws_b.uniform(r1 - r0)[:, None], xb, out=xb)
+            np.subtract(zs, xb, out=xb)
+            dn = _row_norms(np.subtract(xa, xb, out=zs))
+            del zs
             _, ga = _eval_batch(oracle, xa)
             _, gb = _eval_batch(oracle, xb)
             if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
                 bad = xa[~np.all(np.isfinite(ga), axis=1)]
                 zbad = bad[0] if bad.size else xb[~np.all(np.isfinite(gb), axis=1)][0]
                 raise ArithmeticError(f"gradient blow-up on a segment near {zbad}")
-            ratios = _pair_ratios(xa, xb, ga, gb)
+            gn = _row_norms(ga - gb)
+            del ga, gb
+            ratios = _norm_ratios(gn, dn)
             j = int(np.argmax(ratios))
             # first occurrence, NaN first: np.argmax over the whole sweep
             if ratios[j] > top or np.isnan(ratios[j]):
                 top, pair = ratios[j], (xa[j].copy(), xb[j].copy())
+            del xa, xb
         draws_a.skip(rows)
         draws_b.skip(rows)
         if not (np.isfinite(top) and top > value):

@@ -93,9 +93,15 @@ def gram_spectral_norm(a, rel_tol: float = 1e-10, max_iters: int = 100_000) -> P
     return PowerIterationResult(lam, False, max_iters)
 
 
+_SYM_CELLS = 2**13  # entries per row block of S - S^T in `_check_symmetric`
+
+
 def _check_symmetric(S: np.ndarray) -> None:
     scale = max(1.0, float(max(S.max(), -S.min())))  # max |S|, without an |S| temporary
-    asym = float(np.max(S - S.T))  # max |S - S^T|, since S - S^T is antisymmetric
+    # max |S - S^T|, since S - S^T is antisymmetric, one block of its rows at a time
+    k = max(1, _SYM_CELLS // S.shape[1])
+    asym = float(np.max([np.max(S[r : r + k] - S[:, r : r + k].T)
+                         for r in range(0, S.shape[0], k)]))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 

@@ -38,6 +38,14 @@ that column was added:
   ``check_bounds(trace, quad, id, cfg)`` with the run's own config, or the
   message of the ``ValueError`` it raises where the id rejects the run. It
   catches a moved verdict, violation or count of any bound check;
+- ``estimates``: ``repr`` of the value, the witness arrays and
+  ``samples_used`` of ``estimate_rsi`` and ``estimate_rlg``, or the type and
+  message of the error an estimator raises, on f1 and f2 over (0, 10) and f3
+  (beta = 1) over (-5, 5) at the ``certify`` workload's counts (10^5 samples
+  for ``estimate_rsi``, 10^4 for ``estimate_rlg``, seed 0) and at the block
+  edges of ``RSI_SIZES`` and ``RLG_SIZES`` in ``tests/test_properties.py``
+  (seed n), then on the 20x50 quads of the ``quad`` set over the box
+  [-3, 3]^50 at those block edges;
 - ``csv``: the bytes the CLI's writer (``cli._write_atomic`` of
   ``csv_blocks()``) makes of every result of the ``recover`` set and every
   trace of the ``quad`` set, then of one 20,001-record ``nesterov`` trace
@@ -58,10 +66,10 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from gradcert.certify import THEOREM_IDS, check_bounds  # noqa: E402
+from gradcert.certify import _ROWS, THEOREM_IDS, check_bounds, estimate_rlg, estimate_rsi  # noqa: E402
 from gradcert.cli import _write_atomic  # noqa: E402
 from gradcert.numkit import GaussianStream  # noqa: E402
-from gradcert.oracles import make_quadratic_composite  # noqa: E402
+from gradcert.oracles import make_example_1d, make_quadratic_composite  # noqa: E402
 from gradcert.solvers import SolverConfig, run_solver  # noqa: E402
 from gradcert.sparse_recovery import RECOVERY_VARIANTS, gen_sparse_problem, recover  # noqa: E402
 
@@ -200,6 +208,41 @@ def certify_digest(secant, checks) -> tuple[str, int]:
     return h.hexdigest(), n_evals
 
 
+# sample counts at one and two blocks, less one, exact and plus one, as in
+# tests/test_properties.py: rows for estimate_rsi, a sweep's 32 pairs per sample
+# for estimate_rlg
+RSI_SIZES = [k * _ROWS + d for k in (1, 2) for d in (-1, 0, 1)]
+RLG_SIZES = [k * _ROWS // 32 + d for k in (1, 2) for d in (-1, 0, 1)]
+
+
+def _feed_estimate(h, estimator, oracle, domain, n: int, seed: int) -> None:
+    """Hash one estimate's value, witness and sample count, or the error it raises."""
+    try:
+        est = estimator(oracle, domain, n, seed)
+    except (ArithmeticError, ValueError) as exc:
+        _feed(h, estimator.__name__, n, f"{type(exc).__name__}: {exc}")
+        return
+    witness = est.witness if isinstance(est.witness, tuple) else (est.witness,)
+    _feed(h, estimator.__name__, n, est.value, *witness, est.samples_used)
+
+
+def estimates_digest() -> str:
+    h = hashlib.sha256()
+    one_d = [(make_example_1d("f1"), (0.0, 10.0)), (make_example_1d("f2"), (0.0, 10.0)),
+             (make_example_1d("f3", beta=1.0), (-5.0, 5.0))]
+    for oracle, domain in one_d:
+        _feed_estimate(h, estimate_rsi, oracle, domain, 100_000, 0)
+        _feed_estimate(h, estimate_rlg, oracle, domain, 10_000, 0)
+    box = (-3.0 * np.ones(50), 3.0 * np.ones(50))
+    quads = [(_theory_quad(seed), box) for seed in (11, 12, 13, 14, 15)]
+    for oracle, domain in one_d + quads:
+        for n in RSI_SIZES:
+            _feed_estimate(h, estimate_rsi, oracle, domain, n, n)
+        for n in RLG_SIZES:
+            _feed_estimate(h, estimate_rlg, oracle, domain, n, n)
+    return h.hexdigest()
+
+
 def main() -> None:
     print("blas_threads", _blas_threads())
     csv_hash, secant_hash, checks_hash = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -215,6 +258,7 @@ def main() -> None:
         cfg = SolverConfig(stepsize_h=1.0 / quad.constants.R, max_iters=20_000, variant="nesterov")
         write_csv(run_solver(quad, np.zeros(50), cfg, keep_iterates=False))
     print("csv", csv_hash.hexdigest())
+    print("estimates", estimates_digest())
 
 
 if __name__ == "__main__":
