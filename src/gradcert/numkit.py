@@ -100,8 +100,7 @@ def _check_symmetric(S: np.ndarray) -> None:
     scale = max(1.0, float(max(S.max(), -S.min())))  # max |S|, without an |S| temporary
     # max |S - S^T|, since S - S^T is antisymmetric, one block of its rows at a time
     k = max(1, _SYM_CELLS // S.shape[1])
-    asym = float(np.max([np.max(S[r : r + k] - S[:, r : r + k].T)
-                         for r in range(0, S.shape[0], k)]))
+    asym = max(float(np.max(S[r : r + k] - S[:, r : r + k].T)) for r in range(0, len(S), k))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
 

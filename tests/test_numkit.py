@@ -1,4 +1,6 @@
 import hashlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +104,31 @@ def test_jacobi_matches_bisection_on_gram():
 def test_jacobi_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         sym_eig_summary([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("m", [2, 300, 1100])
+def test_symmetry_check_reads_the_last_rows(m):
+    # the check takes S - S^T by blocks of rows; 1,100 leaves a last block of one row
+    a = GaussianStream(m).normal((m, 4))
+    s = a @ a.T
+    s[-1, 0] += 1e-6  # S - S^T is positive in the last row only
+    want = f"not symmetric (max asymmetry {np.max(s - s.T):.3e})"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        sym_eig_summary(s)
+
+
+def test_eig_summary_holds_one_block_of_the_asymmetry():
+    # 256 x 256: S - S^T at once is 0.5 MiB; a block of 32 rows is 64 KiB, and
+    # numpy buffers the transposed operand in another 64 KiB
+    a = GaussianStream(3).normal((256, 300))
+    gram = a @ a.T
+    tracemalloc.start()
+    try:
+        sym_eig_summary(gram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * 2**20
 
 
 def test_eig_summary_rejects_non_square():

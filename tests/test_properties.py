@@ -20,6 +20,9 @@ rounding and, up to 1024 points, bitwise the former prefix start. Both
 estimators, which work in row blocks, must return what their former
 whole-array forms return, bit for bit, and keep their one-sided bounds:
 `estimate_rlg` never above L, `estimate_rsi` never below lambda_min(A A^T).
+`estimate_rsi`'s in-place minimum must be the former masked one where an
+excluded row would win a plain argmin, NaN and +inf ratios included, and
+its in-place row norms must be ``np.linalg.norm``'s bits.
 On random quads started at 10 N(0, I), thm1, thm2, thm3, thm4, thm6,
 lemma1 and lemma2 must pass at their theory stepsizes, each with at least
 one checked inequality, and every check must give the same report, or
@@ -34,6 +37,7 @@ must place an injected violation at the right iteration; and
 ``appendix_grid`` must return exactly what a full scan of its grid returns.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -41,12 +45,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gradcert.certify as certify
 from gradcert.certify import (
     THEOREM_IDS,
     _ROWS,
     GridOptimum,
     _blocks,
     _pair_ratios,
+    _row_norms,
     _start_ratio,
     appendix_grid,
     check_bounds,
@@ -625,6 +631,104 @@ def test_blocked_rlg_is_the_whole_array_rlg(n, quad_20x50):
         sweeps.append(k)
     # later sweeps read their draws where the former form read them
     assert max(sweeps) > 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("cols", [1, 2, 7, 8, 9, 50, 130])
+@pytest.mark.parametrize("scale", [1e-160, 1.0, 1e160])
+def test_row_norms_are_numpys(cols, scale):
+    d = scale * GaussianStream(cols).normal((333, cols))
+    assert _row_norms(d.copy()).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+
+
+def _whole_keep(oracle, domain, n, seed):
+    """The rows `_whole_rsi` keeps, and whether a plain argmin over all rows picks another."""
+    pts = _whole_samples(oracle, domain, n, seed)
+    _, grads = oracle.eval_batch(pts)
+    diff = pts - oracle.project(pts)
+    dn = np.linalg.norm(diff, axis=1)
+    keep = (dn > 1e-8) & np.all(np.isfinite(grads), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        plain = np.einsum("ij,ij->i", grads, diff) / dn**2
+    return keep, not keep[int(np.argmin(plain))]
+
+
+def _inf_then_finite():
+    """f1 with gradient max-float below x = 1: every kept ratio there overflows to +inf."""
+    f1 = make_example_1d("f1")
+
+    def eval_batch(xs):
+        v, g = f1.eval_batch(xs)
+        return v, np.where(xs < 1.0, np.finfo(np.float64).max, xs)
+
+    return dataclasses.replace(f1, eval_batch=eval_batch, name="inf_then_finite")
+
+
+def _kept_nan(quad):
+    """The quad with rows x_0 < 2.5 inside the solution set and, where x_1 > 2.9, a gradient
+    whose product with x - 0 is inf - inf = NaN; the other rows read <x, x>/||x||^2."""
+    big = np.finfo(np.float64).max
+
+    def eval_batch(xs):
+        g = xs.copy()
+        g[xs[:, 1] > 2.9, :2] = (big, -big)
+        return np.zeros(xs.shape[0]), g
+
+    def project(xs):
+        return np.where(xs[:, :1] < 2.5, xs, 0.0)
+
+    return dataclasses.replace(quad, eval_batch=eval_batch, project=project, name="kept_nan")
+
+
+class _Unchecked(tuple):
+    """`ConstantEstimate` without its finite-and-positive check, so a NaN estimate reads."""
+
+    def __new__(cls, value, witness, method, samples_used):
+        return super().__new__(cls, (value, witness, samples_used))
+
+
+SELECTION_CASES = [
+    # rows at x <= 0 lie in the solution set; the first block keeps none
+    ("f1", (-3.0, 0.5), 100),
+    ("f1", (-3.0, 0.5), 2 * _ROWS + 1),
+    # row 8,192, the second block's first, is x = 1.0, where f1's gradient is +inf
+    ("f1", (0.0, 2.0), 2 * _ROWS + 1),
+    # the first block keeps only +inf ratios, the second only finite ones
+    ("inf_then_finite", (-1.0, 3.0), 2 * _ROWS + 1),
+    ("kept_nan", (2.0, 3.0), 1000),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name, box, n", SELECTION_CASES)
+def test_rsi_selects_among_the_kept_rows(name, box, n, quad_20x50, monkeypatch):
+    oracle = {"f1": make_example_1d("f1"), "inf_then_finite": _inf_then_finite(),
+              "kept_nan": _kept_nan(quad_20x50)}[name]
+    domain = tuple(np.full(oracle.dim, v) for v in box)
+    keep, trap = _whole_keep(oracle, domain, n, 0)
+    assert trap and keep.any()  # an excluded row would win a plain argmin
+    monkeypatch.setattr(certify, "ConstantEstimate", _Unchecked)
+    value, witness, used = estimate_rsi(oracle, domain, n)
+    want = _whole_rsi(oracle, domain, n, 0)
+    assert (repr(value), witness.tobytes(), used) == (repr(want[0]), want[1].tobytes(), want[2])
+    if name == "f1" and box == (0.0, 2.0):
+        assert oracle.eval_batch(np.ones((1, 1)))[1][0, 0] == np.inf
+        assert used == n - 2
+    if name == "inf_then_finite":
+        assert np.isfinite(value) and witness[0] >= 1.0
+    if name == "kept_nan":
+        assert np.isnan(value) and witness[0] >= 2.5 and witness[1] > 2.9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_rsi_refuses_a_run_whose_kept_ratios_are_all_inf():
+    # no kept ratio is finite, so no excluded row's stand-in may become the estimate
+    oracle, domain, n = _inf_then_finite(), (-1.0, 0.999), 2 * _ROWS + 1
+    keep, trap = _whole_keep(oracle, domain, n, 0)
+    assert trap and keep.any()
+    assert _whole_rsi(oracle, domain, n, 0)[0] == np.inf
+    with pytest.raises(ValueError, match="got inf"):
+        estimate_rsi(oracle, domain, n)
 
 
 @PROPERTY

@@ -66,7 +66,13 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-from gradcert.certify import _ROWS, THEOREM_IDS, check_bounds, estimate_rlg, estimate_rsi  # noqa: E402
+from gradcert.certify import (  # noqa: E402
+    _ROWS,
+    THEOREM_IDS,
+    check_bounds,
+    estimate_rlg,
+    estimate_rsi,
+)
 from gradcert.cli import _write_atomic  # noqa: E402
 from gradcert.numkit import GaussianStream  # noqa: E402
 from gradcert.oracles import make_example_1d, make_quadratic_composite  # noqa: E402
