@@ -688,7 +688,7 @@ class _Unchecked(tuple):
 
 
 SELECTION_CASES = [
-    # rows at x <= 0 lie in the solution set; the first block keeps none
+    # rows at x <= 0 lie in the solution set; of 16,385 rows the first block keeps none
     ("f1", (-3.0, 0.5), 100),
     ("f1", (-3.0, 0.5), 2 * _ROWS + 1),
     # row 8,192, the second block's first, is x = 1.0, where f1's gradient is +inf
