@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -145,6 +147,62 @@ def test_solve_writes_artifacts_and_reproduces(tmp_path):
     quad = oracle_from_id("quad:m=10,n=25,seed=7")
     assert cfg["h"] == pytest.approx(1.0 / (2 * quad.constants.R))
     assert cfg["max_iters"] == 100
+
+
+# The README's command lines, run in order from one directory (rates reads the
+# trace that solve writes), with recover shrunk to 64x128, k = 6: at that size
+# its bytes are the same under 1 and 2 BLAS threads, while the README's 256x512
+# run moves with the thread count. Each command maps every file it writes, and
+# its stdout, to their SHA-256; config.json's path-valued keys are normalized.
+_PINNED_LINES = [
+    ("solve --oracle quad:m=20,n=50,seed=7 --variant gd --h auto --max-iters 2000 "
+     "--out out/solve --svg", {
+        "config.json": "e00d546090600bf4a87339d293205922f95f1f5298db92cea3980905d8e0b3f7",
+        "trace.csv": "b03a42576374b366e0c8b4128dc1b6601b68081836e9101f13ee407ec0f14040",
+        "trace.svg": "86dab9cb5ba67d9d18f4ab920143aaa56b7b6cfbdf1e31f9953d334f7f01ef66",
+        "stdout": "705e0598040e3ca9517b8feb2139cc3bd38d1b12568b49d6928cd5c74070863d"}),
+    ("verify --oracle quad:m=20,n=50,seed=7 --variant gd --h auto --max-iters 2000 "
+     "--theorem thm2_linear --out out/verify", {
+        "config.json": "750a8f741a472b028e0f42f22b6876689eb69258ad00b03bf1030ac71c67077b",
+        "report.jsonl": "e1043fdc80b786ef7fe603b20b8fa3693dfc7d393ac510ed60c7ee2b0d82f05c",
+        "trace.csv": "b03a42576374b366e0c8b4128dc1b6601b68081836e9101f13ee407ec0f14040",
+        "stdout": "e1043fdc80b786ef7fe603b20b8fa3693dfc7d393ac510ed60c7ee2b0d82f05c"}),
+    ("certify --oracle f1 --which rsi --box 0 10 --samples 100000 --out out/cert", {
+        "config.json": "34cb5ddb890217dd32fdfaafb17be74cf9c78df1f76d269f23fefa1dba04c5f4",
+        "constants.jsonl": "367ea35853463aa3e776355398fe9c506f6c31e23e706de73b5e8118d048a706",
+        "stdout": "367ea35853463aa3e776355398fe9c506f6c31e23e706de73b5e8118d048a706"}),
+    ("rates --input out/solve/trace.csv --model linear_geometric --window 50 1500 "
+     "--out out/rates", {
+        "config.json": "76c2d1d35323b4aac4d85c6ca4e99459439ce30311c2c99e5d15461d93a3bc65",
+        "ratefit.jsonl": "94f79504c1b09715c69c1511626f8d1d9524f528fbb141935df73bc5fa813268",
+        "stdout": "94f79504c1b09715c69c1511626f8d1d9524f528fbb141935df73bc5fa813268"}),
+    ("recover --m 64 --n 128 --k 6 --signal pm_one --seed 1 --variant skip "
+     "--out out/recover --svg", {
+        "config.json": "105e313f483e84e6109b2d4488dfb98d80cf9ea1dd6eaa157a9425f0d41560df",
+        "recovery.csv": "4e93512a40be7110a0f13bb72a8f92151319cc0f075876590043904c5472e0ca",
+        "recovery.svg": "296e294e1eb6317350213a91351e5406ec880b89b13486828fd22e6dc4e30725",
+        "summary.json": "fa0b49fda450feb3c2d9191543fd5fb6a77da1c23a39bc99b498b58d554c8acd",
+        "stdout": "5079290bc2943a7ce5abb293dd4204dabcad52ababcf70571737a6922b8e55a6"}),
+    ("appendix --R 1 --nu 0.5 --out out/appendix", {
+        "appendix.json": "ca6df650848914a491bf497dd327510f03f0ce0a609b635429798722fb3c1bc6",
+        "config.json": "b35ecea429ad6f3a3098446bfb36d1e7c8637c0929cde2a14eb30b776bd66bb3",
+        "stdout": "a5591dcd611fde895d2af368e35aa2c7622c6cc9163faff527b0ad4ccefa5b72"}),
+]
+
+
+def test_command_artifacts_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for line, pins in _PINNED_LINES:
+        argv = line.split()
+        assert run_cli(*argv) == 0, line
+        got = {}
+        for path in (tmp_path / argv[argv.index("--out") + 1]).iterdir():
+            data = path.read_bytes()
+            if path.name == "config.json":
+                data = re.sub(rb'("(?:out|input)": )"[^"]*"', rb'\1"<path>"', data)
+            got[path.name] = hashlib.sha256(data).hexdigest()
+        got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert got == pins, line
 
 
 def test_solve_trace_reads_back_its_status_and_oracle_calls(tmp_path, capsys):

@@ -51,14 +51,25 @@ that column was added:
   trace of the ``quad`` set, then of one 20,001-record ``nesterov`` trace
   (the first quad of that set, at its theory stepsize, from 0), whose text
   spans many blocks. It catches a moved CSV byte that the array digests
-  cannot see. It moved when the ``secant`` column joined the trace CSV.
+  cannot see. It moved when the ``secant`` column joined the trace CSV;
+- ``artifacts``: the README's six ``gradcert`` lines as written, run in order
+  through ``cli.main`` from an empty directory; each command's exit code,
+  the name and bytes of every file it writes, in name order, and its
+  stdout. The ``out`` and ``input`` values of ``config.json`` are
+  normalized, so the digest does not depend on where the files are written.
+  Its 256x512 ``recover`` makes it depend on the BLAS thread count, as
+  ``recover`` does.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import contextlib
+import io
 import math
+import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -73,7 +84,7 @@ from gradcert.certify import (  # noqa: E402
     estimate_rlg,
     estimate_rsi,
 )
-from gradcert.cli import _write_atomic  # noqa: E402
+from gradcert.cli import _write_atomic, main as cli_main  # noqa: E402
 from gradcert.numkit import GaussianStream  # noqa: E402
 from gradcert.oracles import make_example_1d, make_quadratic_composite  # noqa: E402
 from gradcert.solvers import SolverConfig, run_solver  # noqa: E402
@@ -249,6 +260,42 @@ def estimates_digest() -> str:
     return h.hexdigest()
 
 
+README_LINES = [
+    "solve --oracle quad:m=20,n=50,seed=7 --variant gd --h auto --max-iters 2000 "
+    "--out out/solve --svg",
+    "verify --oracle quad:m=20,n=50,seed=7 --variant gd --h auto --max-iters 2000 "
+    "--theorem thm2_linear --out out/verify",
+    "certify --oracle f1 --which rsi --box 0 10 --samples 100000 --out out/cert",
+    "rates --input out/solve/trace.csv --model linear_geometric --window 50 1500 --out out/rates",
+    "recover --m 256 --n 512 --k 25 --signal pm_one --seed 1 --variant skip "
+    "--out out/recover --svg",
+    "appendix --R 1 --nu 0.5 --out out/appendix",
+]
+
+
+def artifacts_digest() -> str:
+    h = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for line in README_LINES:
+                argv = line.split()
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    _feed(h, line, cli_main(argv))
+                for path in sorted(Path(argv[argv.index("--out") + 1]).iterdir()):
+                    data = path.read_bytes()
+                    if path.name == "config.json":
+                        data = re.sub(rb'("(?:out|input)": )"[^"]*"', rb'\1"<path>"', data)
+                    _feed(h, path.name)
+                    h.update(data)
+                _feed(h, stdout.getvalue())
+        finally:
+            os.chdir(cwd)
+    return h.hexdigest()
+
+
 def main() -> None:
     print("blas_threads", _blas_threads())
     csv_hash, secant_hash, checks_hash = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -265,6 +312,7 @@ def main() -> None:
         write_csv(run_solver(quad, np.zeros(50), cfg, keep_iterates=False))
     print("csv", csv_hash.hexdigest())
     print("estimates", estimates_digest())
+    print("artifacts", artifacts_digest())
 
 
 if __name__ == "__main__":
