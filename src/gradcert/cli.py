@@ -9,6 +9,10 @@ rates     fit an empirical rate to a stored trace CSV
 recover   sparse recovery experiment (problem generation + solver)
 appendix  grid-verify the (theta, h) stepsize optimization
 
+Each command returns its exit code, its artifacts (file name to text, or to
+text blocks written one at a time) in write order, and its stdout lines;
+``main`` alone writes ``config.json``, then each artifact, then prints.
+
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numeric abort.
 Oracle ids: "f1", "f2", "f3:beta=<v>", "quad:m=<m>,n=<n>,seed=<s>",
 "augl1:m=<m>,n=<n>,k=<k>,signal=<gaussian|pm_one>,seed=<s>[,alpha=<a>]".
@@ -126,12 +130,7 @@ def _write_atomic(path: Path, text) -> None:
         raise
 
 
-def _echo_config(out_dir: Path, args: argparse.Namespace) -> None:
-    payload = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
-    _write_atomic(out_dir / "config.json", json.dumps(payload, indent=2, default=str) + "\n")
-
-
-def write_svg_line_chart(path: Path, series: dict[str, np.ndarray], title: str) -> None:
+def svg_line_chart(series: dict[str, np.ndarray], title: str) -> str:
     """Standalone SVG chart of log10(|value|) vs iteration for each series."""
     width, height = 720, 460
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -142,10 +141,8 @@ def write_svg_line_chart(path: Path, series: dict[str, np.ndarray], title: str) 
         if mask.any():
             plots.append((label, np.nonzero(mask)[0], np.log10(ys[mask])))
     if not plots:
-        _write_atomic(path, f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                            f'height="{height}"><text x="20" y="30">{title}: no positive data'
-                            f"</text></svg>\n")
-        return
+        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
+                f'<text x="20" y="30">{title}: no positive data</text></svg>\n')
     x_max = max(int(xs[-1]) for _, xs, _ in plots) or 1
     y_lo = min(float(ys.min()) for _, _, ys in plots)
     y_hi = max(float(ys.max()) for _, _, ys in plots)
@@ -189,7 +186,7 @@ def write_svg_line_chart(path: Path, series: dict[str, np.ndarray], title: str) 
             f'<text x="{width - mr - 150}" y="{mt + 16 * ci + 4}" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    _write_atomic(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +210,20 @@ def _start_point(args: argparse.Namespace, dim: int) -> np.ndarray:
     return args.x0_scale * np.ones(dim)
 
 
-def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
+def _cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
+    """solve, and verify, which checks one bound along the same run."""
     oracle = oracle_from_id(args.oracle)
     cfg = _solver_config(args, oracle)
     args.h = cfg.stepsize_h  # echo the resolved value
     trace = run_solver(oracle, _start_point(args, oracle.dim), cfg, keep_iterates=False)
-    _echo_config(out, args)
-    _write_atomic(out / "trace.csv", trace.csv_blocks())
+    code = EXIT_NUMERIC if trace.status == "diverged" else EXIT_OK
+    if args.command == "verify":
+        report = check_bounds(trace, oracle, args.theorem, cfg)
+        if code == EXIT_OK and not report.passed:
+            code = EXIT_CHECK_FAILED
+        line = report.to_json()
+        return code, {"report.jsonl": line + "\n", "trace.csv": trace.csv_blocks()}, [line]
+    artifacts = {"trace.csv": trace.csv_blocks()}
     if args.svg:
         series = {}
         if trace.f_star is not None:
@@ -227,12 +231,12 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
         series["gradient norm"] = trace.grad_norm
         if trace.dist_to_sol is not None:
             series["distance to solution"] = trace.dist_to_sol
-        write_svg_line_chart(out / "trace.svg", series, f"{args.oracle} / {args.variant}")
-    print(f"status={trace.status} records={len(trace)} final_grad={trace.grad_norm[-1]:.3e}")
-    return EXIT_NUMERIC if trace.status == "diverged" else EXIT_OK
+        artifacts["trace.svg"] = svg_line_chart(series, f"{args.oracle} / {args.variant}")
+    return code, artifacts, [
+        f"status={trace.status} records={len(trace)} final_grad={trace.grad_norm[-1]:.3e}"]
 
 
-def _cmd_certify(args: argparse.Namespace, out: Path) -> int:
+def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     oracle = oracle_from_id(args.oracle)
     box = (args.box[0], args.box[1])
     lines = []
@@ -250,46 +254,22 @@ def _cmd_certify(args: argparse.Namespace, out: Path) -> int:
                 }
             )
         )
-    _echo_config(out, args)
-    _write_atomic(out / "constants.jsonl", "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-    return EXIT_OK
+    return EXIT_OK, {"constants.jsonl": "\n".join(lines) + "\n"}, lines
 
 
-def _cmd_verify(args: argparse.Namespace, out: Path) -> int:
-    oracle = oracle_from_id(args.oracle)
-    cfg = _solver_config(args, oracle)
-    args.h = cfg.stepsize_h
-    trace = run_solver(oracle, _start_point(args, oracle.dim), cfg, keep_iterates=False)
-    report = check_bounds(trace, oracle, args.theorem, cfg)
-    _echo_config(out, args)
-    _write_atomic(out / "report.jsonl", report.to_json() + "\n")
-    _write_atomic(out / "trace.csv", trace.csv_blocks())
-    print(report.to_json())
-    if trace.status == "diverged":
-        return EXIT_NUMERIC
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
-
-
-def _cmd_rates(args: argparse.Namespace, out: Path) -> int:
+def _cmd_rates(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     try:
         trace = load_trace_csv(args.input)
     except OSError as exc:
         raise ValueError(f"cannot read --input {args.input}: {exc.strerror or exc}") from None
-    fit = fit_rate(trace, args.model, (args.window[0], args.window[1]))
-    _echo_config(out, args)
-    _write_atomic(out / "ratefit.jsonl", fit.to_json() + "\n")
-    print(fit.to_json())
-    return EXIT_OK
+    line = fit_rate(trace, args.model, (args.window[0], args.window[1])).to_json()
+    return EXIT_OK, {"ratefit.jsonl": line + "\n"}, [line]
 
 
-def _cmd_recover(args: argparse.Namespace, out: Path) -> int:
+def _cmd_recover(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     problem = gen_sparse_problem(args.seed, args.m, args.n, args.k, args.signal, alpha=args.alpha)
     h = None if args.h == "auto" else float(args.h)
     result = recover(problem, args.variant, h=h, max_iters=args.max_iters)
-    _echo_config(out, args)
-    _write_atomic(out / "recovery.csv", result.csv_blocks())
     summary = {
         "variant": result.variant,
         "iters": result.iters,
@@ -301,32 +281,22 @@ def _cmd_recover(args: argparse.Namespace, out: Path) -> int:
         "final_residual": float(result.primal_residual_curve[-1]),
         "alpha": problem.alpha,
     }
-    _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
+    artifacts = {"recovery.csv": result.csv_blocks(),
+                 "summary.json": json.dumps(summary, indent=2) + "\n"}
     if args.svg:
         series = {"primal residual": result.primal_residual_curve}
         if result.rel_error_curve is not None:
             series["relative error"] = result.rel_error_curve
-        write_svg_line_chart(
-            out / "recovery.svg", series, f"recovery {args.m}x{args.n} k={args.k} {args.variant}"
-        )
-    print(json.dumps(summary))
-    return EXIT_NUMERIC if result.dual_trace.status == "diverged" else EXIT_OK
+        artifacts["recovery.svg"] = svg_line_chart(
+            series, f"recovery {args.m}x{args.n} k={args.k} {args.variant}")
+    code = EXIT_NUMERIC if result.dual_trace.status == "diverged" else EXIT_OK
+    return code, artifacts, [json.dumps(summary)]
 
 
-def _cmd_appendix(args: argparse.Namespace, out: Path) -> int:
+def _cmd_appendix(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     opt = appendix_grid(args.R, args.nu, args.grid_steps)
-    payload = {
-        "theta_star": opt.theta_star,
-        "h_star": opt.h_star,
-        "min_value": opt.min_value,
-        "case_a_value": opt.case_a_value,
-        "case_b_value": opt.case_b_value,
-        "closed_form": 1.0 - args.nu / (2.0 * args.R),
-    }
-    _echo_config(out, args)
-    _write_atomic(out / "appendix.json", json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload))
-    return EXIT_OK
+    payload = {**vars(opt), "closed_form": 1.0 - args.nu / (2.0 * args.R)}
+    return EXIT_OK, {"appendix.json": json.dumps(payload, indent=2) + "\n"}, [json.dumps(payload)]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_opts(sp)
     sp.add_argument("--theorem", choices=THEOREM_IDS, required=True)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_verify)
+    sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("rates", help="fit an empirical rate to a trace CSV")
     sp.add_argument("--input", required=True, help="trace CSV written by solve/verify")
@@ -468,7 +438,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args, out)
+        code, artifacts, lines = args.func(args)
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")}
+        _write_atomic(out / "config.json", json.dumps(config, indent=2, default=str) + "\n")
+        for name, text in artifacts.items():
+            _write_atomic(out / name, text)
+        for line in lines:
+            print(line)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
