@@ -43,7 +43,10 @@ EXIT_NUMERIC = 3
 
 
 def oracle_from_id(oracle_id: str) -> Objective:
-    """Build a zoo member from its string id."""
+    """Build a zoo member from its string id.
+
+    Every kind refuses a parameter it does not take before it builds anything.
+    """
     name, _, rest = oracle_id.partition(":")
     kv: dict[str, str] = {}
     if rest:
@@ -54,37 +57,34 @@ def oracle_from_id(oracle_id: str) -> Objective:
             if key in kv:
                 raise ValueError(f"repeated oracle parameter {key!r} in {oracle_id!r}")
             kv[key] = val
+    params = {"f1": (), "f2": (), "f3": ("beta",), "quad": ("m", "n", "seed"),
+              "augl1": ("m", "n", "k", "signal", "seed", "alpha")}.get(name)
+    if params is None:
+        raise ValueError(f"unknown oracle id {oracle_id!r}")
+    unknown = sorted(set(kv) - set(params))
+    if unknown:
+        raise ValueError(f"unknown {name} parameters {unknown}")
     if name in ("f1", "f2"):
-        if kv:
-            raise ValueError(f"{name} takes no parameters, got {sorted(kv)}")
         return make_example_1d(name)
     if name == "f3":
         if "beta" not in kv:
             raise ValueError("f3 needs beta, e.g. f3:beta=1.0")
-        return make_example_1d("f3", beta=float(kv.pop("beta")))
+        return make_example_1d("f3", beta=float(kv["beta"]))
     if name == "quad":
         try:
-            m, n, seed = int(kv.pop("m")), int(kv.pop("n")), int(kv.pop("seed"))
+            m, n, seed = int(kv["m"]), int(kv["n"]), int(kv["seed"])
         except KeyError as exc:
             raise ValueError(f"quad needs m, n, seed; missing {exc}") from None
-        if kv:
-            raise ValueError(f"unknown quad parameters {sorted(kv)}")
         stream = GaussianStream(seed)
         a = stream.normal((m, n))
         return make_quadratic_composite(a, a @ stream.normal(n))
-    if name == "augl1":
-        try:
-            m, n, k = int(kv.pop("m")), int(kv.pop("n")), int(kv.pop("k"))
-            seed = int(kv.pop("seed"))
-        except KeyError as exc:
-            raise ValueError(f"augl1 needs m, n, k, seed; missing {exc}") from None
-        signal = kv.pop("signal", "gaussian")
-        alpha = float(kv.pop("alpha")) if "alpha" in kv else None
-        if kv:
-            raise ValueError(f"unknown augl1 parameters {sorted(kv)}")
-        problem = gen_sparse_problem(seed, m, n, k, signal, alpha=alpha)
-        return make_augl1_dual(problem.A, problem.b, problem.alpha)
-    raise ValueError(f"unknown oracle id {oracle_id!r}")
+    try:
+        m, n, k, seed = int(kv["m"]), int(kv["n"]), int(kv["k"]), int(kv["seed"])
+    except KeyError as exc:
+        raise ValueError(f"augl1 needs m, n, k, seed; missing {exc}") from None
+    alpha = float(kv["alpha"]) if "alpha" in kv else None
+    problem = gen_sparse_problem(seed, m, n, k, kv.get("signal", "gaussian"), alpha=alpha)
+    return make_augl1_dual(problem.A, problem.b, problem.alpha)
 
 
 def resolve_stepsize(oracle: Objective, variant: str, h_arg: str) -> float:

@@ -43,6 +43,13 @@ def test_oracle_from_id_rejects_malformed():
         oracle_from_id("quad:m=20,n=50,seed=1,m=30")
     with pytest.raises(ValueError, match="repeated oracle parameter 'beta'"):
         oracle_from_id("f3:beta=1.0,beta=2.0")
+    # every kind refuses a parameter it does not take, before it builds anything
+    for bad, message in (("f3:beta=1.0,gamma=5", "unknown f3 parameters ['gamma']"),
+                         ("f1:x=1", "unknown f1 parameters ['x']"),
+                         ("quad:m=3,zap=2", "unknown quad parameters ['zap']"),
+                         ("augl1:m=2,n=4,k=1,seed=0,beta=1", "unknown augl1 parameters ['beta']")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            oracle_from_id(bad)
 
 
 def test_resolve_stepsize_rules():
