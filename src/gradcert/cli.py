@@ -204,18 +204,12 @@ def _solver_config(args: argparse.Namespace, oracle: Objective) -> SolverConfig:
     )
 
 
-def _start_point(args: argparse.Namespace, dim: int) -> np.ndarray:
-    if args.x0 == "zeros":
-        return np.zeros(dim)
-    return args.x0_scale * np.ones(dim)
-
-
 def _cmd_solve(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
     """solve, and verify, which checks one bound along the same run."""
     oracle = oracle_from_id(args.oracle)
     cfg = _solver_config(args, oracle)
     args.h = cfg.stepsize_h  # echo the resolved value
-    trace = run_solver(oracle, _start_point(args, oracle.dim), cfg, keep_iterates=False)
+    trace = run_solver(oracle, args.x0_scale * np.ones(oracle.dim), cfg, keep_iterates=False)
     code = EXIT_NUMERIC if trace.status == "diverged" else EXIT_OK
     if args.command == "verify":
         report = check_bounds(trace, oracle, args.theorem, cfg)
@@ -318,8 +312,8 @@ def _add_solver_opts(sp: argparse.ArgumentParser) -> None:
                     help="epoch length K for variant restart_fixed")
     sp.add_argument("--policy", choices=("restart", "skip"), default=None,
                     help="reaction for variant adaptive")
-    sp.add_argument("--x0", choices=("zeros", "ones"), default="zeros")
-    sp.add_argument("--x0-scale", type=float, default=1.0, dest="x0_scale")
+    sp.add_argument("--x0-scale", type=float, default=0.0, dest="x0_scale",
+                    help="start at S*(1,...,1) (default: 0, the origin)", metavar="S")
 
 
 def build_parser() -> argparse.ArgumentParser:

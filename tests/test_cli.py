@@ -164,13 +164,13 @@ def test_solve_writes_artifacts_and_reproduces(tmp_path):
 _PINNED_LINES = [
     ("solve --oracle quad:m=20,n=50,seed=7 --variant gd --h auto --max-iters 2000 "
      "--out out/solve --svg", {
-        "config.json": "e00d546090600bf4a87339d293205922f95f1f5298db92cea3980905d8e0b3f7",
+        "config.json": "88a3d79449f47bb196d8987c2b235f07d2884d38e47e7178f876325b3353db6f",
         "trace.csv": "b03a42576374b366e0c8b4128dc1b6601b68081836e9101f13ee407ec0f14040",
         "trace.svg": "86dab9cb5ba67d9d18f4ab920143aaa56b7b6cfbdf1e31f9953d334f7f01ef66",
         "stdout": "705e0598040e3ca9517b8feb2139cc3bd38d1b12568b49d6928cd5c74070863d"}),
     ("verify --oracle quad:m=20,n=50,seed=7 --variant gd --h auto --max-iters 2000 "
      "--theorem thm2_linear --out out/verify", {
-        "config.json": "750a8f741a472b028e0f42f22b6876689eb69258ad00b03bf1030ac71c67077b",
+        "config.json": "2065676c262ecd70a0e0c4ccfc566221b0acedc7fcf48388242ace8dd65732c7",
         "report.jsonl": "e1043fdc80b786ef7fe603b20b8fa3693dfc7d393ac510ed60c7ee2b0d82f05c",
         "trace.csv": "b03a42576374b366e0c8b4128dc1b6601b68081836e9101f13ee407ec0f14040",
         "stdout": "e1043fdc80b786ef7fe603b20b8fa3693dfc7d393ac510ed60c7ee2b0d82f05c"}),
@@ -210,6 +210,21 @@ def test_command_artifacts_are_pinned(tmp_path, monkeypatch, capsys):
             got[path.name] = hashlib.sha256(data).hexdigest()
         got["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert got == pins, line
+
+
+def test_x0_scale_sets_the_start_point(tmp_path, capsys):
+    # f3 with beta = 1 is 0.5 (|x| - 1)^2 outside [-1, 1], so x0 = 5 gives f = 8
+    assert run_cli("solve", "--oracle", "f3:beta=1.0", "--h", "0.5", "--max-iters", "3",
+                   "--x0-scale", "5", "--out", str(tmp_path)) == 0
+    assert load_trace_csv(tmp_path / "trace.csv").f[0] == 8.0
+    assert json.loads((tmp_path / "config.json").read_text())["x0_scale"] == 5.0
+    # the former --x0 flag is gone; argparse reads it as a prefix of --x0-scale,
+    # so each of its old values is a usage error
+    for old in ("zeros", "ones"):
+        assert run_cli("solve", "--oracle", "f3:beta=1.0", "--x0", old,
+                       "--out", str(tmp_path / "x")) == 2
+        assert f"argument --x0-scale: invalid float value: '{old}'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_solve_trace_reads_back_its_status_and_oracle_calls(tmp_path, capsys):
