@@ -199,8 +199,13 @@ def estimate_rsi(oracle: Objective, domain, n_samples: int, seed: int = 0) -> Co
             ratios /= np.square(dn, out=dn)
         ratios[~keep] = np.inf
         i = int(np.argmin(ratios))
-        # first occurrence, NaN first: np.argmin over all blocks at once. A block
-        # whose kept ratios are all +inf, or that keeps no row, leaves the minimum
+        # first occurrence within a block, NaN first, and a finite minimum across
+        # blocks as np.argmin over all blocks at once would take it. Two cases
+        # differ from that: a later block's NaN replaces an earlier NaN, and a
+        # run whose kept ratios are all +inf keeps witness = None. Both values
+        # are refused by ConstantEstimate, so nothing reads the witness there.
+        # A block whose kept ratios are all +inf, or that keeps no row, leaves
+        # the minimum as it was
         if ratios[i] < value or np.isnan(ratios[i]):
             value, witness = float(ratios[i]), pts[i].copy()
         used += int(np.count_nonzero(keep))
