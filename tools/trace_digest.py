@@ -63,9 +63,9 @@ that column was added:
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
-import contextlib
 import io
 import math
 import os
