@@ -391,6 +391,9 @@ def test_load_trace_csv_rejects_malformed_run_line(tmp_path, run_line):
     [
         ("1,0.5,0.5,1.0", "expected 7 fields, got 4"),
         ("1,0.5,half,1.0,,,none", "non-numeric field in '1,0.5,half,1.0,,,none'"),
+        ("1,,0.5,1.0,,,none", "non-numeric field in '1,,0.5,1.0,,,none'"),
+        ("1,0.5,0.5,,,,none", "non-numeric field in '1,0.5,0.5,,,,none'"),
+        ("1.5,0.5,0.5,1.0,,,none", "non-numeric field in '1.5,0.5,0.5,1.0,,,none'"),
         ("1,0.5,,1.0,,,none", "fgap, dist_to_sol or secant is blank on some rows only"),
         ("1,0.5,0.5,1.0,0.25,,none", "fgap, dist_to_sol or secant is blank on some rows only"),
         ("1,0.5,0.5,1.0,,0.5,none", "fgap, dist_to_sol or secant is blank on some rows only"),
