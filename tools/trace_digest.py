@@ -52,6 +52,11 @@ that column was added:
   (the first quad of that set, at its theory stepsize, from 0), whose text
   spans many blocks. It catches a moved CSV byte that the array digests
   cannot see. It moved when the ``secant`` column joined the trace CSV;
+- ``readback``: every trace CSV of the ``csv`` set (the 25 of the ``quad``
+  set and the 20,001-record ``nesterov`` trace, not the recovery CSVs), read
+  back with ``load_trace_csv``; the ``f``, ``grad_norm``, ``dist_to_sol``,
+  ``secant``, ``reset_event``, ``status``, ``f_star`` and ``n_evals`` of
+  each. It catches a moved bit in what the reader builds from a file;
 - ``artifacts``: the README's six ``gradcert`` lines as written, run in order
   through ``cli.main`` from an empty directory; each command's exit code,
   the name and bytes of every file it writes, in name order, and its
@@ -87,7 +92,7 @@ from gradcert.certify import (  # noqa: E402
 from gradcert.cli import _write_atomic, main as cli_main  # noqa: E402
 from gradcert.numkit import GaussianStream  # noqa: E402
 from gradcert.oracles import make_example_1d, make_quadratic_composite  # noqa: E402
-from gradcert.solvers import SolverConfig, run_solver  # noqa: E402
+from gradcert.solvers import SolverConfig, SolverTrace, load_trace_csv, run_solver  # noqa: E402
 from gradcert.sparse_recovery import RECOVERY_VARIANTS, gen_sparse_problem, recover  # noqa: E402
 
 
@@ -131,11 +136,16 @@ def _feed_checks(h, trace, oracle, cfg) -> None:
             _feed(h, f"ValueError: {exc}")
 
 
-def _csv_writer(h, path: Path):
-    """A function that writes a trace or result as the CLI does and hashes the file."""
+def _csv_writer(h, readback, path: Path):
+    """A function that writes a trace or result as the CLI does and hashes the file;
+    it reads a trace's file back with `load_trace_csv` and hashes that into ``readback``."""
     def write(obj) -> None:
         _write_atomic(path, obj.csv_blocks())
         h.update(path.read_bytes())
+        if isinstance(obj, SolverTrace):
+            tr = load_trace_csv(path)
+            _feed(readback, tr.f, tr.grad_norm, tr.dist_to_sol, tr.secant, tr.reset_event,
+                  tr.status, tr.f_star, tr.n_evals)
     return write
 
 
@@ -298,9 +308,10 @@ def artifacts_digest() -> str:
 
 def main() -> None:
     print("blas_threads", _blas_threads())
-    csv_hash, secant_hash, checks_hash = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    csv_hash, readback_hash = hashlib.sha256(), hashlib.sha256()
+    secant_hash, checks_hash = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        write_csv = _csv_writer(csv_hash, Path(tmp) / "out.csv")
+        write_csv = _csv_writer(csv_hash, readback_hash, Path(tmp) / "out.csv")
         print("recover", recover_digest(write_csv))
         print("quad", quad_digest(write_csv, secant_hash, checks_hash))
         digest, n_evals = certify_digest(secant_hash, checks_hash)
@@ -311,6 +322,7 @@ def main() -> None:
         cfg = SolverConfig(stepsize_h=1.0 / quad.constants.R, max_iters=20_000, variant="nesterov")
         write_csv(run_solver(quad, np.zeros(50), cfg, keep_iterates=False))
     print("csv", csv_hash.hexdigest())
+    print("readback", readback_hash.hexdigest())
     print("estimates", estimates_digest())
     print("artifacts", artifacts_digest())
 
