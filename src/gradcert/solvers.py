@@ -116,7 +116,7 @@ class SolverTrace:
     about 40 bytes per record with a projection, plus the iterates it keeps.
     ``n_evals`` is the number of ``oracle.eval`` calls the run made (gd makes
     none after a fixed point; see `run_solver`); None for hand-built traces.
-    `to_csv` writes every field but ``iterates``, with the columns declared
+    `csv_blocks` writes every field but ``iterates``, with the columns declared
     once in ``_TRACE_COLUMNS`` and a leading ``#`` line that carries
     ``status``, ``f_star`` and ``n_evals`` through `load_trace_csv`.
     """
@@ -144,13 +144,10 @@ class SolverTrace:
             raise ValueError("objective gap needs a known f_star")
         return self.f - self.f_star
 
-    def to_csv(self) -> str:
-        """CSV text that `load_trace_csv` reads back, held whole: `csv_blocks` joined."""
-        return "".join(self.csv_blocks())
-
     def csv_blocks(self):
-        """The text of `to_csv` in blocks of at most ``_CSV_ROWS`` records: a ``#``
-        line (status, f_star as a float's repr or None, n_evals), then ``_TRACE_COLUMNS``."""
+        """CSV text that `load_trace_csv` reads back, in blocks of at most ``_CSV_ROWS``
+        records: a ``#`` line (status, f_star as a float's repr or None, n_evals),
+        then ``_TRACE_COLUMNS``."""
         f_star = None if self.f_star is None else float(self.f_star)
         yield f"# status={self.status} f_star={f_star!r} n_evals={self.n_evals}\n"
         gap = None if f_star is None else lambda s: self.f[s] - self.f_star
@@ -172,7 +169,7 @@ def _csv_blocks(header: tuple[str, ...], events, columns):
 
 
 def load_trace_csv(path) -> SolverTrace:
-    """Read a trace CSV in the `SolverTrace.to_csv` format.
+    """Read a trace CSV in the `SolverTrace.csv_blocks` format.
 
     The columns are checked against ``_TRACE_COLUMNS``. ``status``, ``f_star``
     and ``n_evals`` come from the ``#`` run line, which must come first: a
@@ -181,11 +178,11 @@ def load_trace_csv(path) -> SolverTrace:
     Raises ValueError naming the file and line of a malformed run line, of a
     row without 7 fields, with a non-numeric field, or with fgap,
     dist_to_sol or secant blank only on some rows.
-    Values go line by line into ``array("d")`` buffers, events into shared
-    strings, so it holds about 40 bytes per record, as a solver run does.
+    Values go line by line into the buffers of a `_TraceBuilder`, events into
+    shared strings, so it holds about 40 bytes per record, as a solver run does.
     """
-    f, gn, dist, sec = array("d"), array("d"), array("d"), array("d")
-    events: list[str] = []
+    tb = _TraceBuilder()
+    f, gn, dist, sec, events = tb.f, tb.grad_norm, tb.dist, tb.secant, tb.events
     names: dict[str, str] = {}
     first_blanks = None
     with open(path, "r", encoding="ascii") as fh:
@@ -226,16 +223,8 @@ def load_trace_csv(path) -> SolverTrace:
     if not events:
         raise ValueError(f"no records in {path}")
     status, f_star_s, n_evals_s = run.groups()
-    return SolverTrace(
-        f=np.frombuffer(f),
-        grad_norm=np.frombuffer(gn),
-        dist_to_sol=None if first_blanks[1] else np.frombuffer(dist),
-        reset_event=tuple(events),
-        status=status,
-        f_star=None if f_star_s == "None" else float(f_star_s),
-        n_evals=None if n_evals_s == "None" else int(n_evals_s),
-        secant=None if first_blanks[2] else np.frombuffer(sec),
-    )
+    return tb.freeze(status, None if f_star_s == "None" else float(f_star_s),
+                     None if n_evals_s == "None" else int(n_evals_s))
 
 
 def _grad_norm(f: float, g: np.ndarray) -> float | None:
@@ -253,8 +242,10 @@ def _grad_norm(f: float, g: np.ndarray) -> float | None:
 
 
 class _TraceBuilder:
-    def __init__(self, oracle: Objective, callback: Callback | None, keep_iterates: bool):
-        self.project = oracle.project
+    """The buffers a run or `load_trace_csv` fills; `freeze` gives None for an empty one."""
+
+    def __init__(self, project=None, callback: Callback | None = None, keep_iterates=False):
+        self.project = project
         self.callback = callback
         self.f, self.grad_norm = array("d"), array("d")
         self.dist, self.secant = array("d"), array("d")
@@ -293,13 +284,13 @@ class _TraceBuilder:
         return SolverTrace(
             f=np.frombuffer(self.f),
             grad_norm=np.frombuffer(self.grad_norm),
-            dist_to_sol=None if self.project is None else np.frombuffer(self.dist),
+            dist_to_sol=np.frombuffer(self.dist) if self.dist else None,
             reset_event=tuple(self.events),
             status=status,
             f_star=f_star,
             iterates=None if self.iterates is None else tuple(self.iterates),
             n_evals=n_evals,
-            secant=None if self.project is None else np.frombuffer(self.secant),
+            secant=np.frombuffer(self.secant) if self.secant else None,
         )
 
 
@@ -350,7 +341,7 @@ def run_solver(
     gnorm = _grad_norm(f_x, g_x)
     if gnorm is None:
         raise ValueError("objective is not finite at the start point")
-    tb = _TraceBuilder(oracle, callback, keep_iterates)
+    tb = _TraceBuilder(oracle.project, callback, keep_iterates)
     push = tb.push
     push(x, f_x, g_x, gnorm, "none")
     f_star = oracle.f_star

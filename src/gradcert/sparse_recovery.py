@@ -89,12 +89,8 @@ class RecoveryResult:
         hits = np.nonzero(self.rel_error_curve < rel_tol)[0]
         return int(hits[0]) if hits.size else None
 
-    def to_csv(self) -> str:
-        """CSV text with columns k,rel_error,primal_residual,reset_event."""
-        return "".join(self.csv_blocks())
-
     def csv_blocks(self):
-        """The text of `to_csv` in str blocks of a fixed number of records."""
+        """Blocks of CSV text with columns k,rel_error,primal_residual,reset_event."""
         return _csv_blocks(("k", "rel_error", "primal_residual", "reset_event"),
                            self.dual_trace.reset_event,
                            (self.rel_error_curve, self.primal_residual_curve))

@@ -353,7 +353,7 @@ def test_secant_checks_call_no_oracle_method(quad_20x50):
 def test_secant_checks_read_the_same_from_the_trace_csv(tmp_path, quad_20x50):
     tr, cfg, reports = _secant_reports(quad_20x50)
     path = tmp_path / "trace.csv"
-    path.write_text(tr.to_csv(), encoding="ascii")
+    path.write_text("".join(tr.csv_blocks()), encoding="ascii")
     back = load_trace_csv(path)
     assert back.iterates is None
     assert [check_bounds(back, quad_20x50, tid, cfg) for tid in _SECANT_CHECKS] == reports

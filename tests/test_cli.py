@@ -280,7 +280,7 @@ def test_rates_on_synthetic_trace(tmp_path):
         f_star=0.0,
     )
     path = tmp_path / "trace.csv"
-    path.write_text(trace.to_csv(), encoding="ascii")
+    path.write_text("".join(trace.csv_blocks()), encoding="ascii")
     out = tmp_path / "r"
     assert run_cli("rates", "--input", str(path), "--model", "linear_geometric",
                    "--window", "0", "49", "--out", str(out)) == 0
@@ -420,7 +420,7 @@ def test_csv_blocks_join_to_the_written_text(tmp_path, n, full):
                 + _rows_text((tr.dist_to_sol, tr.grad_norm), tr.reset_event))
     for obj, text in ((tr, want), (rec, rec_want)):
         blocks = list(obj.csv_blocks())
-        assert "".join(blocks) == obj.to_csv() == text
+        assert "".join(blocks) == text
         assert max(block.count("\n") for block in blocks) == min(n, _CSV_ROWS)
         _write_atomic(tmp_path / "out.csv", iter(blocks))
         assert (tmp_path / "out.csv").read_bytes() == text.encode("ascii")
@@ -460,7 +460,7 @@ def test_write_atomic_holds_a_few_blocks_of_text(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.read_bytes() == tr.to_csv().encode("ascii")
+    assert path.read_bytes() == "".join(tr.csv_blocks()).encode("ascii")
     # a block holds 1/40 of the text, so this is about ten blocks' text
     assert peak <= path.stat().st_size // 4
 
@@ -471,7 +471,7 @@ def test_load_trace_csv_stores_8_bytes_per_value(tmp_path):
     n = _TRACED_RECORDS
     tr = _long_trace(n)
     path = tmp_path / "trace.csv"
-    path.write_text(tr.to_csv(), encoding="ascii")
+    path.write_text("".join(tr.csv_blocks()), encoding="ascii")
     tracemalloc.start()
     try:
         back = load_trace_csv(path)

@@ -866,7 +866,7 @@ def test_every_check_reads_the_same_from_the_trace_csv(tmp_path_factory, case):
         SolverConfig(1.0 / big_r, 200, variant="adaptive", policy="skip"),
     ):
         trace = run_solver(quad, x0, cfg)
-        path.write_text(trace.to_csv(), encoding="ascii")
+        path.write_text("".join(trace.csv_blocks()), encoding="ascii")
         back = load_trace_csv(path)
         for theorem in THEOREM_IDS:
             assert _outcome(back, quad, theorem, cfg) == _outcome(trace, quad, theorem, cfg), (
@@ -896,7 +896,7 @@ def csv_traces(draw):
 
 
 def _assert_reads_back(trace, path):
-    path.write_text(trace.to_csv(), encoding="ascii")
+    path.write_text("".join(trace.csv_blocks()), encoding="ascii")
     back = load_trace_csv(path)
 
     def bits(value):

@@ -359,7 +359,7 @@ def test_trace_csv_roundtrip(tmp_path, quad_20x50):
     cfg = SolverConfig(stepsize_h=1.0 / quad_20x50.constants.R, max_iters=30, variant="gd")
     tr = run_solver(quad_20x50, np.ones(50), cfg)
     path = tmp_path / "trace.csv"
-    path.write_text(tr.to_csv(), encoding="ascii")
+    path.write_text("".join(tr.csv_blocks()), encoding="ascii")
     back = load_trace_csv(path)
     assert np.array_equal(back.f, tr.f)
     assert np.array_equal(back.grad_norm, tr.grad_norm)
@@ -417,7 +417,7 @@ def test_trace_csv_header_and_blanks():
     dual = make_augl1_dual(a, a @ np.ones(8), 2.0)
     cfg = SolverConfig(stepsize_h=1.0 / dual.constants.L, max_iters=5, variant="gd")
     tr = run_solver(dual, np.zeros(3), cfg)
-    lines = tr.to_csv().splitlines()
+    lines = "".join(tr.csv_blocks()).splitlines()
     assert lines[0] == "# status=max_iters f_star=None n_evals=6"
     assert lines[1] == HEADER
     first = lines[2].split(",")
@@ -436,13 +436,13 @@ def test_trace_csv_text_is_pinned():
             secant=secant,
         )
 
-    assert trace(0.5, np.array([3.0, 1e-20]), np.array([6.0, -0.0])).to_csv() == (
+    assert "".join(trace(0.5, np.array([3.0, 1e-20]), np.array([6.0, -0.0])).csv_blocks()) == (
         "# status=max_iters f_star=0.5 n_evals=None\n"
         "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event\n"
         "0,1.5,1.0,2.0,3.0,6.0,none\n"
         "1,0.1,-0.4,0.3333333333333333,1e-20,-0.0,restart\n"
     )
-    assert trace(None, None, None).to_csv() == (
+    assert "".join(trace(None, None, None).csv_blocks()) == (
         "# status=max_iters f_star=None n_evals=None\n"
         "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event\n"
         "0,1.5,,2.0,,,none\n"
@@ -734,11 +734,10 @@ def test_trace_builder_stores_8_bytes_per_value():
     # the buffers' spare room and the frozen event tuple; a tuple of boxed
     # floats per record took 224 B here
     n = 100_001
-    oracle = dataclasses.replace(make_example_1d("f3", beta=1.0), project=None)
     x, g = np.array([2.0]), np.array([1.0])
     tracemalloc.start()
     try:
-        tb = _TraceBuilder(oracle, None, keep_iterates=False)
+        tb = _TraceBuilder()  # no projection, no callback, no iterates
         for i in range(n):
             tb.push(x, i + 0.5, g, i + 0.25, "none")
         tr = tb.freeze("max_iters", 0.0, n)

@@ -254,7 +254,7 @@ def test_recover_primal_error_geometric_envelope():
 
 def test_recovery_csv_schema():
     res = recover(small_problem(), "restart", max_iters=50_000)
-    lines = res.to_csv().splitlines()
+    lines = "".join(res.csv_blocks()).splitlines()
     assert lines[0] == "k,rel_error,primal_residual,reset_event"
     assert len(lines) == res.iters + 1
     row = lines[1].split(",")
@@ -274,12 +274,12 @@ def test_recovery_csv_text_is_pinned():
     def result(rel):
         return RecoveryResult(np.zeros(3), rel, np.array([2.0, 0.1]), 2, "skip", trace)
 
-    assert result(np.array([1.0, 1 / 3])).to_csv() == (
+    assert "".join(result(np.array([1.0, 1 / 3])).csv_blocks()) == (
         "k,rel_error,primal_residual,reset_event\n"
         "0,1.0,2.0,none\n"
         "1,0.3333333333333333,0.1,skip\n"
     )
-    assert result(None).to_csv() == (
+    assert "".join(result(None).csv_blocks()) == (
         "k,rel_error,primal_residual,reset_event\n0,,2.0,none\n1,,0.1,skip\n"
     )
 
