@@ -320,16 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradcert",
         description="Gradient methods under restricted curvature: solve, certify, reproduce.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    sp = sub.add_parser("solve", help="run a solver and write the trace")
+    sp = sub.add_parser("solve", help="run a solver and write the trace", allow_abbrev=False)
     _add_solver_opts(sp)
     sp.add_argument("--svg", action="store_true", help="emit an SVG chart of the trace")
     _add_common(sp)
     sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("certify", help="estimate curvature constants")
+    sp = sub.add_parser("certify", help="estimate curvature constants", allow_abbrev=False)
     sp.add_argument("--oracle", required=True)
     sp.add_argument("--which", choices=("rsi", "rlg", "both"), default="both")
     sp.add_argument("--box", type=float, nargs=2, required=True, metavar=("LO", "HI"))
@@ -338,13 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_certify)
 
-    sp = sub.add_parser("verify", help="run a solver and check one bound")
+    sp = sub.add_parser("verify", help="run a solver and check one bound", allow_abbrev=False)
     _add_solver_opts(sp)
     sp.add_argument("--theorem", choices=THEOREM_IDS, required=True)
     _add_common(sp)
     sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("rates", help="fit an empirical rate to a trace CSV")
+    sp = sub.add_parser("rates", help="fit an empirical rate to a trace CSV", allow_abbrev=False)
     sp.add_argument("--input", required=True, help="trace CSV written by solve/verify")
     sp.add_argument(
         "--model",
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_rates)
 
-    sp = sub.add_parser("recover", help="sparse recovery experiment")
+    sp = sub.add_parser("recover", help="sparse recovery experiment", allow_abbrev=False)
     sp.add_argument("--m", type=int, default=256)
     sp.add_argument("--n", type=int, default=512)
     sp.add_argument("--k", type=int, default=25)
@@ -370,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_recover)
 
-    sp = sub.add_parser("appendix", help="grid-verify the (theta, h) optimization")
+    sp = sub.add_parser("appendix", help="grid-verify the (theta, h) optimization",
+                        allow_abbrev=False)
     sp.add_argument("--R", type=float, required=True)
     sp.add_argument("--nu", type=float, required=True)
     sp.add_argument("--grid-steps", type=int, default=2000, dest="grid_steps")
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Fold --config file values in as defaults; explicit flags still win."""
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config", default=None)
     known, _ = probe.parse_known_args(argv)
     if known.config is None:

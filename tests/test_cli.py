@@ -218,13 +218,36 @@ def test_x0_scale_sets_the_start_point(tmp_path, capsys):
                    "--x0-scale", "5", "--out", str(tmp_path)) == 0
     assert load_trace_csv(tmp_path / "trace.csv").f[0] == 8.0
     assert json.loads((tmp_path / "config.json").read_text())["x0_scale"] == 5.0
-    # the former --x0 flag is gone; argparse reads it as a prefix of --x0-scale,
-    # so each of its old values is a usage error
+    # the former --x0 flag is gone, and is not read as a prefix of --x0-scale
     for old in ("zeros", "ones"):
         assert run_cli("solve", "--oracle", "f3:beta=1.0", "--x0", old,
                        "--out", str(tmp_path / "x")) == 2
-        assert f"argument --x0-scale: invalid float value: '{old}'" in capsys.readouterr().err
+        assert f"unrecognized arguments: --x0 {old}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--oracle", "f3:beta=1.0", "--h", "0.5", "--max", "2"],
+     "unrecognized arguments: --max 2"),
+    (["solve", "--oracle", "f3:beta=1.0", "--h", "0.5", "--max-iters", "2", "--x0", "5"],
+     "unrecognized arguments: --x0 5"),
+    (["appendix", "--R", "1", "--nu", "0.5", "--grid", "10"], "unrecognized arguments: --grid 10"),
+    (["appendix", "--R", "1", "--nu", "0.5", "--h"], "unrecognized arguments: --h"),
+    (["rates", "--inp", "trace.csv", "--window", "0", "1"],
+     "the following arguments are required: --input"),
+])
+def test_flags_must_be_spelled_in_full(tmp_path, capsys, argv, message):
+    assert run_cli(*argv, "--out", str(tmp_path / "x")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_flag_must_be_spelled_in_full(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"grid_steps": 10}')
+    assert run_cli("appendix", "--R", "1", "--nu", "0.5", "--conf", str(cfg),
+                   "--out", str(tmp_path / "x")) == 2
+    assert f"unrecognized arguments: --conf {cfg}" in capsys.readouterr().err
 
 
 def test_solve_trace_reads_back_its_status_and_oracle_calls(tmp_path, capsys):
