@@ -35,6 +35,7 @@ __all__ = [
     "fit_rate",
     "appendix_grid",
     "THEOREM_IDS",
+    "RATE_MODELS",
 ]
 
 SLACK = 1e-9
@@ -476,6 +477,7 @@ _CHECKS = {
     "lemma3_growth": _Check(_lemma3, _DG, (("nu",),)),
 }
 THEOREM_IDS = tuple(_CHECKS)
+RATE_MODELS = ("linear_geometric", "sublinear_1_over_k", "sublinear_1_over_k2")
 
 
 def check_bounds(
@@ -607,7 +609,7 @@ def fit_rate(
     surviving points is an error. When no f_star is known anywhere, the best
     value seen in the trace is used as a surrogate.
     """
-    if model not in ("linear_geometric", "sublinear_1_over_k", "sublinear_1_over_k2"):
+    if model not in RATE_MODELS:
         raise ValueError(f"unknown rate model {model!r}")
     if f_star is None:
         f_star = trace.f_star

@@ -28,11 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import appendix_grid, check_bounds, estimate_rlg, estimate_rsi, fit_rate, THEOREM_IDS
+from .certify import (appendix_grid, check_bounds, estimate_rlg, estimate_rsi, fit_rate,
+                      RATE_MODELS, THEOREM_IDS)
 from .numkit import GaussianStream
 from .oracles import Objective, make_augl1_dual, make_example_1d, make_quadratic_composite
-from .solvers import SolverConfig, load_trace_csv, run_solver, VARIANTS
-from .sparse_recovery import gen_sparse_problem, recover, RECOVERY_VARIANTS
+from .solvers import SolverConfig, load_trace_csv, run_solver, POLICIES, VARIANTS
+from .sparse_recovery import gen_sparse_problem, recover, RECOVERY_VARIANTS, SIGNALS
 
 __all__ = ["main", "oracle_from_id", "resolve_stepsize"]
 
@@ -45,7 +46,8 @@ EXIT_NUMERIC = 3
 def oracle_from_id(oracle_id: str) -> Objective:
     """Build a zoo member from its string id.
 
-    Every kind refuses a parameter it does not take before it builds anything.
+    Every kind refuses a parameter it does not take, or a value that is not of
+    the parameter's type, before it builds anything.
     """
     name, _, rest = oracle_id.partition(":")
     kv: dict[str, str] = {}
@@ -57,33 +59,41 @@ def oracle_from_id(oracle_id: str) -> Objective:
             if key in kv:
                 raise ValueError(f"repeated oracle parameter {key!r} in {oracle_id!r}")
             kv[key] = val
-    params = {"f1": (), "f2": (), "f3": ("beta",), "quad": ("m", "n", "seed"),
-              "augl1": ("m", "n", "k", "signal", "seed", "alpha")}.get(name)
+    params = {"f1": {}, "f2": {}, "f3": {"beta": float},
+              "quad": {"m": int, "n": int, "seed": int},
+              "augl1": {"m": int, "n": int, "k": int, "signal": str, "seed": int,
+                        "alpha": float}}.get(name)
     if params is None:
         raise ValueError(f"unknown oracle id {oracle_id!r}")
     unknown = sorted(set(kv) - set(params))
     if unknown:
         raise ValueError(f"unknown {name} parameters {unknown}")
+    for key, val in kv.items():
+        try:
+            kv[key] = params[key](val)
+        except ValueError:
+            kind = "an int" if params[key] is int else "a float"
+            raise ValueError(f"{name} parameter {key}={val!r} is not {kind}, "
+                             f"in {oracle_id!r}") from None
     if name in ("f1", "f2"):
         return make_example_1d(name)
     if name == "f3":
         if "beta" not in kv:
             raise ValueError("f3 needs beta, e.g. f3:beta=1.0")
-        return make_example_1d("f3", beta=float(kv["beta"]))
+        return make_example_1d("f3", beta=kv["beta"])
     if name == "quad":
         try:
-            m, n, seed = int(kv["m"]), int(kv["n"]), int(kv["seed"])
+            m, n, seed = kv["m"], kv["n"], kv["seed"]
         except KeyError as exc:
             raise ValueError(f"quad needs m, n, seed; missing {exc}") from None
         stream = GaussianStream(seed)
         a = stream.normal((m, n))
         return make_quadratic_composite(a, a @ stream.normal(n))
     try:
-        m, n, k, seed = int(kv["m"]), int(kv["n"]), int(kv["k"]), int(kv["seed"])
+        m, n, k, seed = kv["m"], kv["n"], kv["k"], kv["seed"]
     except KeyError as exc:
         raise ValueError(f"augl1 needs m, n, k, seed; missing {exc}") from None
-    alpha = float(kv["alpha"]) if "alpha" in kv else None
-    problem = gen_sparse_problem(seed, m, n, k, kv.get("signal", "gaussian"), alpha=alpha)
+    problem = gen_sparse_problem(seed, m, n, k, kv.get("signal", "gaussian"), kv.get("alpha"))
     return make_augl1_dual(problem.A, problem.b, problem.alpha)
 
 
@@ -310,7 +320,7 @@ def _add_solver_opts(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grad-tol", type=float, default=0.0, dest="grad_tol")
     sp.add_argument("--restart-every", type=int, default=None, dest="restart_every",
                     help="epoch length K for variant restart_fixed")
-    sp.add_argument("--policy", choices=("restart", "skip"), default=None,
+    sp.add_argument("--policy", choices=POLICIES, default=None,
                     help="reaction for variant adaptive")
     sp.add_argument("--x0-scale", type=float, default=0.0, dest="x0_scale",
                     help="start at S*(1,...,1) (default: 0, the origin)", metavar="S")
@@ -347,11 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rates", help="fit an empirical rate to a trace CSV", allow_abbrev=False)
     sp.add_argument("--input", required=True, help="trace CSV written by solve/verify")
-    sp.add_argument(
-        "--model",
-        choices=("linear_geometric", "sublinear_1_over_k", "sublinear_1_over_k2"),
-        default="linear_geometric",
-    )
+    sp.add_argument("--model", choices=RATE_MODELS, default="linear_geometric")
     sp.add_argument("--window", type=int, nargs=2, required=True, metavar=("K0", "K1"))
     _add_common(sp)
     sp.set_defaults(func=_cmd_rates)
@@ -360,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=256)
     sp.add_argument("--n", type=int, default=512)
     sp.add_argument("--k", type=int, default=25)
-    sp.add_argument("--signal", choices=("gaussian", "pm_one"), default="gaussian")
+    sp.add_argument("--signal", choices=SIGNALS, default="gaussian")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--variant", choices=RECOVERY_VARIANTS, default="gd")
     sp.add_argument("--alpha", type=float, default=None,

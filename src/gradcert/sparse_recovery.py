@@ -25,9 +25,11 @@ __all__ = [
     "gen_sparse_problem",
     "recover",
     "RECOVERY_VARIANTS",
+    "SIGNALS",
 ]
 
 RECOVERY_VARIANTS = ("gd", "nesterov", "restart", "skip")
+SIGNALS = ("gaussian", "pm_one")
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,7 @@ def gen_sparse_problem(
         raise ValueError(f"need 1 <= m < n, got m = {m}, n = {n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k = {k}")
-    if signal not in ("gaussian", "pm_one"):
+    if signal not in SIGNALS:
         raise ValueError(f"unknown signal kind {signal!r}")
     stream = GaussianStream(seed)
     A = stream.normal((m, n))

@@ -50,6 +50,13 @@ def test_oracle_from_id_rejects_malformed():
                          ("augl1:m=2,n=4,k=1,seed=0,beta=1", "unknown augl1 parameters ['beta']")):
         with pytest.raises(ValueError, match=re.escape(message)):
             oracle_from_id(bad)
+    # a value that does not parse is named with its key and the id
+    for bad, message in (("quad:m=x,n=5,seed=1", "quad parameter m='x' is not an int"),
+                         ("f3:beta=abc", "f3 parameter beta='abc' is not a float"),
+                         ("augl1:m=4,n=8,k=2,seed=1,alpha=zz",
+                          "augl1 parameter alpha='zz' is not a float")):
+        with pytest.raises(ValueError, match=re.escape(f"{message}, in {bad!r}")):
+            oracle_from_id(bad)
 
 
 def test_resolve_stepsize_rules():
