@@ -242,7 +242,7 @@ def _grad_norm(f: float, g: np.ndarray) -> float | None:
 
 
 class _TraceBuilder:
-    """The buffers a run or `load_trace_csv` fills; `freeze` gives None for an empty one."""
+    """Buffers a run or `load_trace_csv` fills; `freeze` drops an empty dist or secant."""
 
     def __init__(self, project=None, callback: Callback | None = None, keep_iterates=False):
         self.project = project
