@@ -35,7 +35,6 @@ __all__ = [
     "fit_rate",
     "appendix_grid",
     "THEOREM_IDS",
-    "RATE_MODELS",
 ]
 
 SLACK = 1e-9

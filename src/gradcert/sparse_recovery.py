@@ -25,7 +25,6 @@ __all__ = [
     "gen_sparse_problem",
     "recover",
     "RECOVERY_VARIANTS",
-    "SIGNALS",
 ]
 
 RECOVERY_VARIANTS = ("gd", "nesterov", "restart", "skip")
