@@ -353,13 +353,11 @@ def _report(theorem_id: str, lhs, rhs, ks: np.ndarray, valid) -> BoundReport:
     return BoundReport(theorem_id, first is None, max_v, first, viol.size, ks.size - viol.size)
 
 
-def _need(trace: SolverTrace, oracle: Objective, columns) -> None:
-    """Raise unless the trace carries each named column; "gap" needs a known f_star."""
-    for name in columns:
-        if name == "gap" and trace.f_star is None and oracle.f_star is None:
-            raise ValueError("check needs a known f_star")
-        if name != "gap" and getattr(trace, name) is None:
-            raise ValueError(f"check needs {name} (oracle projection) in the trace")
+def _need(trace: SolverTrace, fields) -> None:
+    """Raise unless the trace carries each named field."""
+    for name in fields:
+        if getattr(trace, name) is None:
+            raise ValueError(f"check needs {name} in the trace")
 
 
 def _constant(oracle: Objective, *names: str) -> float:
@@ -374,24 +372,24 @@ def _constant(oracle: Objective, *names: str) -> float:
 class _Check:
     """One row of `_CHECKS`.
 
-    ``sides(trace, gap, cfg, *constants)`` returns ``(lhs, rhs, ks, valid)``:
+    ``sides(trace, cfg, *constants)`` returns ``(lhs, rhs, ks, valid)``:
     the sides of ``lhs <= rhs``, one entry per inequality the theorem states
     along the trace (so n_stated is ``ks.size``); the record of each; and the
     entries that are not vacuous, as a mask, or as a slice where the rule
-    keeps all or none. A fitted row returns its verdict instead. ``columns``
-    are the trace columns it reads ("gap" needs f_star); ``constants`` are
+    keeps all or none. A fitted row returns its verdict instead. ``fields``
+    are the trace fields it reads (``f_star`` for the gap); ``constants`` are
     passed to ``sides``, each the first one set of its chain; a hypothesis
     ``(trace, oracle, cfg, *constants)`` returns its name if the run fails it.
     """
 
     sides: Callable
-    columns: tuple[str, ...] = ()
+    fields: tuple[str, ...] = ()
     constants: tuple[tuple[str, ...], ...] = ()
     hypotheses: tuple[Callable, ...] = ()
 
 
-def _thm1(trace, gap, cfg, big_r):
-    r, ks = trace.dist_to_sol, trace.k
+def _thm1(trace, cfg, big_r):
+    gap, r, ks = trace.gap, trace.dist_to_sol, trace.k
     if gap[0] <= 0 or r[0] <= 1e-12:  # started at the optimum: nothing checkable
         return gap, gap, ks, slice(0)
     alpha = cfg.stepsize_h * big_r
@@ -402,7 +400,7 @@ def _thm1(trace, gap, cfg, big_r):
 def _contraction(scale: float, c: tuple[str, ...]) -> _Check:
     """The row r_{k+1} <= sqrt(1 - nu/(scale c)) r_k, on the hypothesis nu < scale c."""
 
-    def sides(trace, gap, cfg, nu, c):
+    def sides(trace, cfg, nu, c):
         r, rho = trace.dist_to_sol, math.sqrt(1.0 - nu / (scale * c))
         return r[1:], rho * r[:-1], trace.k[1:], r[:-1] >= 1e-12
 
@@ -412,21 +410,21 @@ def _contraction(scale: float, c: tuple[str, ...]) -> _Check:
     return _Check(sides, ("dist_to_sol",), (("nu",), c), (nu_below,))
 
 
-def _thm4(trace, gap, cfg, big_r):
+def _thm4(trace, cfg, big_r):
     r1, ks = trace.dist_to_sol[1], trace.k[1:]
     bound = 4.0 * big_r * r1**2 / (ks + 1.0) ** 2
-    return gap[1:], bound, ks, slice(0) if r1 <= 1e-12 else slice(None)
+    return trace.gap[1:], bound, ks, slice(0) if r1 <= 1e-12 else slice(None)
 
 
-def _thm6(trace, gap, cfg):
-    epochs = np.arange(len(trace) // cfg.restart_every + 1)
+def _thm6(trace, cfg):
+    gap, epochs = trace.gap, np.arange(len(trace) // cfg.restart_every + 1)
     boundary = epochs * cfg.restart_every
     boundary = boundary[boundary < len(trace)]
     bound = np.exp(-epochs[: boundary.size].astype(float)) * gap[0]
     return gap[boundary], bound, boundary, (gap[0] > 0) & (bound >= gap[0] * 1e-15)
 
 
-def _thm8(trace, gap, cfg):
+def _thm8(trace, cfg):
     """A geometric fit on the terminal half of the positive-gap prefix, with the best value
     seen as the f_star surrogate when the trace carries none (its record then drops out)."""
     f_star = trace.f_star if trace.f_star is not None else float(np.min(trace.f))
@@ -434,38 +432,38 @@ def _thm8(trace, gap, cfg):
     end = int(nonpos[0]) - 1 if nonpos.size else len(trace) - 1
     if end < 1:
         raise ValueError("no positive-gap prefix to fit")
-    fit = fit_rate(trace, "linear_geometric", (end // 2, end), f_star=f_star)
+    fit = fit_rate(trace, "linear_geometric", (end // 2, end))
     passed = fit.fitted_factor < 1.0 and fit.r_squared > 0.95
     n_fit = fit.window[1] - fit.window[0] + 1
     return BoundReport("thm8_augl1", passed, fit.fitted_factor - 1.0, None, n_fit, 0)
 
 
-def _lemma1(trace, gap, cfg, big_r):
+def _lemma1(trace, cfg, big_r):
     return trace.grad_norm**2 / (2.0 * big_r), trace.secant, trace.k, trace.dist_to_sol >= 1e-12
 
 
-def _lemma2(trace, gap, cfg, big_r, nu):
+def _lemma2(trace, cfg, big_r, nu):
     r = trace.dist_to_sol
     lhs = trace.grad_norm**2 / (4.0 * big_r) + 0.5 * nu * r**2
     return lhs, trace.secant, trace.k, r >= 1e-12
 
 
-def _lemma3(trace, gap, cfg, nu):
-    r = trace.dist_to_sol
+def _lemma3(trace, cfg, nu):
+    gap, r = trace.gap, trace.dist_to_sol
     return 0.5 * nu * r**2, gap, trace.k, (r >= 1e-12) & (gap >= gap[0] * 1e-15)
 
 
-_R, _DG, _DS = ("R", "L"), ("dist_to_sol", "gap"), ("dist_to_sol", "secant")
+_R, _DG, _DS = ("R", "L"), ("dist_to_sol", "f_star"), ("dist_to_sol", "secant")
 _CHECKS = {
     "thm1_sublinear": _Check(_thm1, _DG, (_R,), (
         lambda trace, oracle, cfg, big_r: None if 0 < cfg.stepsize_h * big_r <= 1 + 1e-12
         else f"thm1 needs h in (0, 1/R]; got h*R = {cfg.stepsize_h * big_r}",)),
     "thm2_linear": _contraction(2.0, _R),
-    "thm2_converse": _Check(lambda trace, gap, cfg: _converse_data(trace, cfg.stepsize_h)[3], _DS),
+    "thm2_converse": _Check(lambda trace, cfg: _converse_data(trace, cfg.stepsize_h)[3], _DS),
     "thm3_linear": _contraction(1.0, ("L",)),
     "thm4_accel": _Check(_thm4, _DG, (_R,), (
         lambda trace, *_: None if len(trace) >= 2 else "thm4 check needs at least two records",)),
-    "thm6_restart": _Check(_thm6, ("gap",), (), (
+    "thm6_restart": _Check(_thm6, ("f_star",), (), (
         lambda trace, oracle, cfg: None if cfg.restart_every is not None
         else "thm6 check needs cfg.restart_every",)),
     "thm8_augl1": _Check(_thm8, hypotheses=(
@@ -488,7 +486,8 @@ def check_bounds(
     its inequality; the columns it reads; its constants, "R|L" meaning R,
     else L; its hypotheses on the run; what it states one inequality for
     (n_stated counts them); and its vacuity rule. r_k is ``dist_to_sol``,
-    s_k = <g_k, x_k - x_prj> is ``secant`` and gap_k = f_k - f*:
+    s_k = <g_k, x_k - x_prj> is ``secant`` and gap_k = f_k - f* is
+    ``trace.gap``, which needs the trace's ``f_star``:
 
     * thm1_sublinear:  gap_k <= 1 / (1/gap_0 + k a(2-a)/(2 R r_0^2)), a = hR;
       r, gap; R|L; hR in (0, 1]; each record; bound < 1e-15 gap_0, or every
@@ -516,7 +515,7 @@ def check_bounds(
     * lemma3_growth:   (nu/2) r_k^2 <= gap_k; r, gap; nu; none; each record;
       r_k < 1e-12 or gap_k < 1e-15 gap_0.
 
-    Every row takes the same steps: an unknown id, a missing column or
+    Every row takes the same steps: an unknown id, a missing trace field or
     constant, and a run outside a hypothesis are refused in that order, each
     with a ``ValueError`` that names the cause; then the entries that are not
     vacuous are reported on and the rest counted in ``n_vacuous``, so a trace
@@ -527,15 +526,13 @@ def check_bounds(
     if theorem_id not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
     row = _CHECKS[theorem_id]
-    _need(trace, oracle, row.columns)
+    _need(trace, row.fields)
     consts = [_constant(oracle, *names) for names in row.constants]
     for hypothesis in row.hypotheses:
         unmet = hypothesis(trace, oracle, cfg, *consts)
         if unmet:
             raise ValueError(unmet)
-    f_star = trace.f_star if trace.f_star is not None else oracle.f_star
-    gap = trace.f - f_star if "gap" in row.columns else None
-    out = row.sides(trace, gap, cfg, *consts)
+    out = row.sides(trace, cfg, *consts)
     return out if isinstance(out, BoundReport) else _report(theorem_id, *out)
 
 
@@ -570,11 +567,12 @@ def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> Constant
     there). A failure indicates a corrupted trace, since the inequality
     holds by the same algebra that produces the estimate. Requires a unique
     minimizer, so that the projection is constant, and the trace's iterates,
-    whose worst-ratio pair is the witness.
+    whose worst-ratio pair is the witness. ``oracle`` is not read; it stays
+    for existing callers.
     """
     if trace.iterates is None:
         raise ValueError("converse_secant needs stored iterates (run with keep_iterates=True)")
-    _need(trace, oracle, ("dist_to_sol", "secant"))
+    _need(trace, ("dist_to_sol", "secant"))
     idx, n_ratios, nu_hat, sides = _converse_data(trace, h)
     worst = _report("thm2_converse", *sides).max_violation
     if worst > SLACK:
@@ -594,26 +592,18 @@ def converse_secant(trace: SolverTrace, oracle: Objective, h: float) -> Constant
 # rate fitting
 
 
-def fit_rate(
-    trace: SolverTrace,
-    model: str,
-    window: tuple[int, int],
-    f_star: float | None = None,
-) -> RateFit:
+def fit_rate(trace: SolverTrace, model: str, window: tuple[int, int]) -> RateFit:
     """Least-squares rate fit of the objective gap over ``window`` (inclusive).
 
     ``model`` is "linear_geometric" (log gap vs k), or "sublinear_1_over_k" /
     "sublinear_1_over_k2" (log gap vs log k; the window must start at k >= 1).
     Nonpositive gaps shrink the window to its positive prefix; fewer than 10
-    surviving points is an error. When no f_star is known anywhere, the best
-    value seen in the trace is used as a surrogate.
+    surviving points is an error. The gap is taken against the trace's
+    f_star, or against the best value seen when the trace carries none.
     """
     if model not in RATE_MODELS:
         raise ValueError(f"unknown rate model {model!r}")
-    if f_star is None:
-        f_star = trace.f_star
-    if f_star is None:
-        f_star = float(np.min(trace.f))
+    f_star = trace.f_star if trace.f_star is not None else float(np.min(trace.f))
     k0, k1 = int(window[0]), int(window[1])
     if not (0 <= k0 <= k1 < len(trace)):
         raise ValueError(f"window {window} outside trace of length {len(trace)}")

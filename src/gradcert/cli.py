@@ -282,13 +282,13 @@ def _cmd_recover(args: argparse.Namespace) -> tuple[int, dict, list[str]]:
         "final_rel_error": None
         if result.rel_error_curve is None
         else float(result.rel_error_curve[-1]),
-        "final_residual": float(result.primal_residual_curve[-1]),
+        "final_residual": float(result.dual_trace.grad_norm[-1]),
         "alpha": problem.alpha,
     }
     artifacts = {"recovery.csv": result.csv_blocks(),
                  "summary.json": json.dumps(summary, indent=2) + "\n"}
     if args.svg:
-        series = {"primal residual": result.primal_residual_curve}
+        series = {"primal residual": result.dual_trace.grad_norm}
         if result.rel_error_curve is not None:
             series["relative error"] = result.rel_error_curve
         artifacts["recovery.svg"] = svg_line_chart(

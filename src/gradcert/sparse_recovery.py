@@ -17,7 +17,7 @@ import numpy as np
 
 from .numkit import GaussianStream
 from .oracles import Objective, make_augl1_dual
-from .solvers import SolverConfig, SolverTrace, _csv_blocks, run_solver
+from .solvers import POLICIES, SolverConfig, SolverTrace, _csv_blocks, run_solver
 
 __all__ = [
     "SparseProblem",
@@ -27,7 +27,7 @@ __all__ = [
     "RECOVERY_VARIANTS",
 ]
 
-RECOVERY_VARIANTS = ("gd", "nesterov", "restart", "skip")
+RECOVERY_VARIANTS = ("gd", "nesterov", *POLICIES)
 SIGNALS = ("gaussian", "pm_one")
 
 
@@ -71,14 +71,13 @@ class RecoveryResult:
     """Per-iteration recovery curves and the final primal point.
 
     ``rel_error_curve`` is ``||x^(k) - x_true|| / ||x_true||`` (None when the
-    planted signal is zero, whatever b is); ``primal_residual_curve`` is
-    ``||A x^(k) - b||``. Both have one entry per dual iterate, so their length
-    equals ``iters``.
+    planted signal is zero, whatever b is), one entry per dual iterate, so
+    its length equals ``iters``. The primal residual ``||A x^(k) - b||`` is
+    ``dual_trace.grad_norm``, since the dual gradient is ``A x - b``.
     """
 
     x_final: np.ndarray
     rel_error_curve: np.ndarray | None
-    primal_residual_curve: np.ndarray
     iters: int
     variant: str
     dual_trace: SolverTrace
@@ -94,7 +93,7 @@ class RecoveryResult:
         """Blocks of CSV text with columns k,rel_error,primal_residual,reset_event."""
         return _csv_blocks(("k", "rel_error", "primal_residual", "reset_event"),
                            self.dual_trace.reset_event,
-                           (self.rel_error_curve, self.primal_residual_curve))
+                           (self.rel_error_curve, self.dual_trace.grad_norm))
 
 
 def gen_sparse_problem(
@@ -157,9 +156,7 @@ def recover(
     (the last two are the adaptive reset policies).
     The solver runs on ``problem.dual``, so repeated recoveries on one
     problem share one oracle, and the primal point of each iterate is the
-    one that oracle computed in the evaluation just made. The residual
-    curve is the trace's gradient norm, since the dual gradient is
-    ``A x - b``.
+    one that oracle computed in the evaluation just made.
     """
     if variant not in RECOVERY_VARIANTS:
         raise ValueError(f"unknown recovery variant {variant!r}")
@@ -170,10 +167,8 @@ def recover(
         stepsize_h=h,
         max_iters=max_iters,
         grad_tol=1e-14 * float(np.linalg.norm(problem.b)),
-        variant={"gd": "gd", "nesterov": "nesterov", "restart": "adaptive", "skip": "adaptive"}[
-            variant
-        ],
-        policy=variant if variant in ("restart", "skip") else None,
+        variant="adaptive" if variant in POLICIES else variant,
+        policy=variant if variant in POLICIES else None,
     )
 
     x_norm = float(np.linalg.norm(problem.x_true))
@@ -193,7 +188,6 @@ def recover(
     return RecoveryResult(
         x_final=last_primal.copy(),
         rel_error_curve=None if rel_curve is None else np.frombuffer(rel_curve),
-        primal_residual_curve=trace.grad_norm.copy(),
         iters=len(trace),
         variant=variant,
         dual_trace=trace,

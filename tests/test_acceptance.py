@@ -250,7 +250,7 @@ def test_c10_recovery_test2():
     f_star = float(np.min(gd_result.dual_trace.f))
     gaps_pos = np.nonzero(gd_result.dual_trace.f - f_star <= 0)[0]
     end = int(gaps_pos[0]) - 1
-    fit = fit_rate(gd_result.dual_trace, "linear_geometric", (end // 2, end), f_star=f_star)
+    fit = fit_rate(gd_result.dual_trace, "linear_geometric", (end // 2, end))
     assert fit.fitted_factor < 1.0
     assert fit.r_squared > 0.95
     elapsed = time.perf_counter() - t0

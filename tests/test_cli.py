@@ -441,7 +441,7 @@ def test_csv_blocks_join_to_the_written_text(tmp_path, n, full):
     want = (f"# status=max_iters f_star={0.25 if full else None} n_evals={n + 1}\n"
             "k,f,fgap,grad_norm,dist_to_sol,secant,reset_event\n"
             + _rows_text((tr.f, gap, tr.grad_norm, tr.dist_to_sol, tr.secant), tr.reset_event))
-    rec = RecoveryResult(np.zeros(3), tr.dist_to_sol, tr.grad_norm, n, "skip", tr)
+    rec = RecoveryResult(np.zeros(3), tr.dist_to_sol, n, "skip", tr)
     rec_want = ("k,rel_error,primal_residual,reset_event\n"
                 + _rows_text((tr.dist_to_sol, tr.grad_norm), tr.reset_event))
     for obj, text in ((tr, want), (rec, rec_want)):

@@ -325,7 +325,7 @@ def _recovery_bits(res):
     tr = res.dual_trace
     return (tr.f.tobytes(), tr.grad_norm.tobytes(), tr.reset_event, tr.status, tr.n_evals,
             None if res.rel_error_curve is None else res.rel_error_curve.tobytes(),
-            res.primal_residual_curve.tobytes(), res.x_final.tobytes())
+            res.x_final.tobytes())
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

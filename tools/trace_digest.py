@@ -17,7 +17,8 @@ that column was added:
 
 - ``recover``: seeds 1-3, 256x512, k = 25, ``pm_one``, each of the four
   ``RECOVERY_VARIANTS``; the problem's ``A``, ``b``, ``x_true`` and ``alpha``,
-  the result's curves and ``x_final``, and the dual trace's ``f``,
+  the result's ``rel_error_curve``, residual curve (the dual trace's
+  ``grad_norm``) and ``x_final``, and the dual trace's ``f``,
   ``grad_norm``, ``reset_event``, ``status`` and ``n_evals``;
 - ``quad``: the 20x50 quads ``make_quadratic_composite(a, a @ x)`` with ``a``
   and ``x`` drawn from ``GaussianStream(s)``, s = 11-15, run from 0 under each
@@ -157,7 +158,7 @@ def recover_digest(write_csv) -> str:
         for variant in RECOVERY_VARIANTS:
             res = recover(p, variant)
             write_csv(res)
-            _feed(h, variant, res.x_final, res.rel_error_curve, res.primal_residual_curve,
+            _feed(h, variant, res.x_final, res.rel_error_curve, res.dual_trace.grad_norm,
                   res.iters)
             tr = res.dual_trace
             _feed(h, tr.f, tr.grad_norm, tr.reset_event, tr.status, tr.n_evals)
