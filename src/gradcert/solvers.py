@@ -35,6 +35,7 @@ VARIANTS = ("gd", "nesterov", "restart_fixed", "adaptive")
 POLICIES = ("restart", "skip")
 _TRACE_COLUMNS = ("k", "f", "fgap", "grad_norm", "dist_to_sol", "secant", "reset_event")
 _CSV_ROWS = 512  # records per block of CSV text
+_EVENTS = {name: name for name in ("none", "restart", "skip")}  # shared event strings
 _RUN_LINE = re.compile(
     r"# status=(\w+) f_star=(None|-?inf|nan|-?\d+(?:\.\d+)?(?:e[-+]\d+)?) n_evals=(None|\d+)")
 
@@ -177,19 +178,24 @@ def load_trace_csv(path) -> SolverTrace:
     before that line existed, an older header without ``secant``).
     Raises ValueError naming the file and line of a malformed run line, of a
     row without 7 fields, with a non-numeric field, or with fgap,
-    dist_to_sol or secant blank only on some rows.
+    dist_to_sol or secant blank only on some rows; then of a row whose k is
+    not its index, whose fgap is not blank exactly when the run line's f_star
+    is None, or else not f - f_star (NaN matching NaN), or whose event is not
+    "none", "restart" or "skip".
     Values go line by line into the buffers of a `_TraceBuilder`, events into
     shared strings, so it holds about 40 bytes per record, as a solver run does.
     """
     tb = _TraceBuilder()
     f, gn, dist, sec, events = tb.f, tb.grad_norm, tb.dist, tb.secant, tb.events
-    names: dict[str, str] = {}
     first_blanks = None
+    event_of = _EVENTS.get
     with open(path, "r", encoding="ascii") as fh:
         line = fh.readline().strip()
         run = _RUN_LINE.fullmatch(line)
         if run is None:
             raise ValueError(f"{path} line 1: unrecognized run line {line!r}")
+        status, f_star_s, n_evals_s = run.groups()
+        f_star = None if f_star_s == "None" else float(f_star_s)
         header = fh.readline().strip()
         if header != ",".join(_TRACE_COLUMNS):
             raise ValueError(f"unrecognized trace header: {header!r}")
@@ -202,29 +208,39 @@ def load_trace_csv(path) -> SolverTrace:
                                  f"expected {len(_TRACE_COLUMNS)} fields, got {len(fields)}")
             k_s, f_s, gap_s, gn_s, dist_s, sec_s, ev = fields
             try:
-                int(k_s)
-                row = (float(f_s), float(gn_s), float(gap_s) if gap_s else None,
+                row = (int(k_s), float(f_s), float(gn_s), float(gap_s) if gap_s else None,
                        float(dist_s) if dist_s else None, float(sec_s) if sec_s else None)
             except ValueError:
                 raise ValueError(
                     f"{path} line {lineno}: non-numeric field in {line.strip()!r}") from None
             blanks = (not gap_s, not dist_s, not sec_s)
-            first_blanks = first_blanks or blanks
+            if first_blanks is None:
+                first_blanks = blanks
+                if blanks[0] != (f_star is None):  # then every row's, by the next check
+                    raise ValueError(f"{path} line {lineno}: fgap must be blank exactly "
+                                     "when the run line's f_star is None")
             if blanks != first_blanks:
                 raise ValueError(f"{path} line {lineno}: "
                                  "fgap, dist_to_sol or secant is blank on some rows only")
-            f.append(row[0])
-            gn.append(row[1])
+            if row[0] != len(f):
+                raise ValueError(f"{path} line {lineno}: k is {k_s}, not the row's index {len(f)}")
+            if gap_s and row[3] != row[1] - f_star and not (
+                    math.isnan(row[3]) and math.isnan(row[1] - f_star)):
+                raise ValueError(f"{path} line {lineno}: "
+                                 f"fgap {gap_s} is not f - f_star = {row[1] - f_star!r}")
+            event = event_of(ev)
+            if event is None:
+                raise ValueError(f"{path} line {lineno}: unknown reset_event {ev!r}")
+            f.append(row[1])
+            gn.append(row[2])
             if dist_s:
-                dist.append(row[3])
+                dist.append(row[4])
             if sec_s:
-                sec.append(row[4])
-            events.append(names.setdefault(ev, ev))
+                sec.append(row[5])
+            events.append(event)
     if not events:
         raise ValueError(f"no records in {path}")
-    status, f_star_s, n_evals_s = run.groups()
-    return tb.freeze(status, None if f_star_s == "None" else float(f_star_s),
-                     None if n_evals_s == "None" else int(n_evals_s))
+    return tb.freeze(status, f_star, None if n_evals_s == "None" else int(n_evals_s))
 
 
 def _grad_norm(f: float, g: np.ndarray) -> float | None:

@@ -397,6 +397,9 @@ def test_load_trace_csv_rejects_malformed_run_line(tmp_path, run_line):
         ("1,0.5,,1.0,,,none", "fgap, dist_to_sol or secant is blank on some rows only"),
         ("1,0.5,0.5,1.0,0.25,,none", "fgap, dist_to_sol or secant is blank on some rows only"),
         ("1,0.5,0.5,1.0,,0.5,none", "fgap, dist_to_sol or secant is blank on some rows only"),
+        ("2,0.5,0.5,1.0,,,none", "k is 2, not the row's index 1"),
+        ("1,0.5,0.25,1.0,,,none", "fgap 0.25 is not f - f_star = 0.5"),
+        ("1,0.5,0.5,1.0,,,bogus", "unknown reset_event 'bogus'"),
     ],
 )
 def test_load_trace_csv_rejects_malformed_rows(tmp_path, second_row, message):
@@ -406,6 +409,25 @@ def test_load_trace_csv_rejects_malformed_rows(tmp_path, second_row, message):
     with pytest.raises(ValueError) as info:
         load_trace_csv(path)
     assert str(info.value) == f"{path} line 4: {message}"
+
+
+@pytest.mark.parametrize("f_star, rows", [("None", "0,1.0,1.0,2.0,,,none"),
+                                          ("0.0", "0,1.0,,2.0,,,none")])
+def test_load_trace_csv_checks_fgap_against_the_run_line(tmp_path, f_star, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"# status=max_iters f_star={f_star} n_evals=1\n{HEADER}\n{rows}\n")
+    with pytest.raises(ValueError) as info:
+        load_trace_csv(path)
+    assert str(info.value) == (
+        f"{path} line 3: fgap must be blank exactly when the run line's f_star is None")
+
+
+def test_load_trace_csv_matches_a_nan_gap(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"# status=max_iters f_star=nan n_evals=2\n{HEADER}\n"
+                    "0,1.0,nan,2.0,,,none\n1,inf,nan,1.0,,,restart\n")
+    back = load_trace_csv(path)
+    assert np.isnan(back.gap).all() and back.reset_event == ("none", "restart")
 
 
 def test_trace_csv_header_and_blanks():
