@@ -46,8 +46,9 @@ EXIT_NUMERIC = 3
 def oracle_from_id(oracle_id: str) -> Objective:
     """Build a zoo member from its string id.
 
-    Every kind refuses a parameter it does not take, or a value that is not of
-    the parameter's type, before it builds anything.
+    Every kind refuses a parameter it does not take, a missing one (only
+    augl1's signal and alpha may be left out), a value that is not of the
+    parameter's type, or one below its least value, before it builds anything.
     """
     name, _, rest = oracle_id.partition(":")
     kv: dict[str, str] = {}
@@ -59,41 +60,41 @@ def oracle_from_id(oracle_id: str) -> Objective:
             if key in kv:
                 raise ValueError(f"repeated oracle parameter {key!r} in {oracle_id!r}")
             kv[key] = val
-    params = {"f1": {}, "f2": {}, "f3": {"beta": float},
-              "quad": {"m": int, "n": int, "seed": int},
-              "augl1": {"m": int, "n": int, "k": int, "signal": str, "seed": int,
-                        "alpha": float}}.get(name)
+    # each parameter's type and least value (None: any)
+    params = {"f1": {}, "f2": {}, "f3": {"beta": (float, None)},
+              "quad": {"m": (int, 1), "n": (int, 1), "seed": (int, None)},
+              "augl1": {"m": (int, 1), "n": (int, 1), "k": (int, 0), "signal": (str, None),
+                        "seed": (int, None), "alpha": (float, None)}}.get(name)
     if params is None:
         raise ValueError(f"unknown oracle id {oracle_id!r}")
     unknown = sorted(set(kv) - set(params))
     if unknown:
         raise ValueError(f"unknown {name} parameters {unknown}")
-    for key, val in kv.items():
+    needs = [key for key in params if key not in ("signal", "alpha")]
+    for key, (kind, least) in params.items():
+        if key not in kv:
+            if key in needs:
+                raise ValueError(f"{name} needs {', '.join(needs)}; missing {key!r}")
+            continue
         try:
-            kv[key] = params[key](val)
+            val = kind(kv[key])
         except ValueError:
-            kind = "an int" if params[key] is int else "a float"
-            raise ValueError(f"{name} parameter {key}={val!r} is not {kind}, "
+            article = "an int" if kind is int else "a float"
+            raise ValueError(f"{name} parameter {key}={kv[key]!r} is not {article}, "
                              f"in {oracle_id!r}") from None
+        if least is not None and val < least:
+            raise ValueError(f"{name} parameter {key}={val} is below {least}, in {oracle_id!r}")
+        kv[key] = val
     if name in ("f1", "f2"):
         return make_example_1d(name)
     if name == "f3":
-        if "beta" not in kv:
-            raise ValueError("f3 needs beta, e.g. f3:beta=1.0")
         return make_example_1d("f3", beta=kv["beta"])
     if name == "quad":
-        try:
-            m, n, seed = kv["m"], kv["n"], kv["seed"]
-        except KeyError as exc:
-            raise ValueError(f"quad needs m, n, seed; missing {exc}") from None
-        stream = GaussianStream(seed)
-        a = stream.normal((m, n))
-        return make_quadratic_composite(a, a @ stream.normal(n))
-    try:
-        m, n, k, seed = kv["m"], kv["n"], kv["k"], kv["seed"]
-    except KeyError as exc:
-        raise ValueError(f"augl1 needs m, n, k, seed; missing {exc}") from None
-    problem = gen_sparse_problem(seed, m, n, k, kv.get("signal", "gaussian"), kv.get("alpha"))
+        stream = GaussianStream(kv["seed"])
+        a = stream.normal((kv["m"], kv["n"]))
+        return make_quadratic_composite(a, a @ stream.normal(kv["n"]))
+    problem = gen_sparse_problem(kv["seed"], kv["m"], kv["n"], kv["k"],
+                                 kv.get("signal", "gaussian"), kv.get("alpha"))
     return make_augl1_dual(problem.A, problem.b, problem.alpha)
 
 

@@ -54,8 +54,18 @@ def test_oracle_from_id_rejects_malformed():
     for bad, message in (("quad:m=x,n=5,seed=1", "quad parameter m='x' is not an int"),
                          ("f3:beta=abc", "f3 parameter beta='abc' is not a float"),
                          ("augl1:m=4,n=8,k=2,seed=1,alpha=zz",
-                          "augl1 parameter alpha='zz' is not a float")):
+                          "augl1 parameter alpha='zz' is not a float"),
+                         # a value below its least one is named the same way
+                         ("quad:m=0,n=5,seed=1", "quad parameter m=0 is below 1"),
+                         ("quad:m=-1,n=5,seed=1", "quad parameter m=-1 is below 1"),
+                         ("quad:m=3,n=0,seed=1", "quad parameter n=0 is below 1"),
+                         ("augl1:m=0,n=8,k=2,seed=1", "augl1 parameter m=0 is below 1")):
         with pytest.raises(ValueError, match=re.escape(f"{message}, in {bad!r}")):
+            oracle_from_id(bad)
+    for bad, message in (("f3", "f3 needs beta; missing 'beta'"),
+                         ("quad:m=3", "quad needs m, n, seed; missing 'n'"),
+                         ("augl1:m=2,n=4,seed=0", "augl1 needs m, n, k, seed; missing 'k'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
             oracle_from_id(bad)
 
 
