@@ -123,6 +123,8 @@ def _box(domain, dim: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = domain
     lo = np.broadcast_to(np.asarray(lo, dtype=np.float64).ravel(), (dim,)).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=np.float64).ravel(), (dim,)).copy()
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"sampling box bounds must be finite, got {domain[0]} and {domain[1]}")
     if not np.all(hi > lo):
         raise ValueError("sampling box must have hi > lo in every coordinate")
     return lo, hi
@@ -685,10 +687,11 @@ def appendix_grid(big_r: float, nu: float, grid_steps: int) -> GridOptimum:
     Both attain the common minimum 1 - nu/(2R) at (theta, h) = (1/2, 1/(2R));
     case B's unbounded h-range is truncated at 4/R, past every minimizer.
     Each case's optimum is its first grid minimum, theta before h; case A
-    wins a tie between the cases.
+    wins a tie between the cases. The grid squares 2R and spans h up to 4/R,
+    so R is refused unless both are finite; nu < 2R bounds the other terms.
     """
-    if big_r <= 0:
-        raise ValueError(f"R must be positive, got {big_r}")
+    if not (big_r > 0 and math.isfinite(4.0 * big_r * big_r) and math.isfinite(4.0 / big_r)):
+        raise ValueError(f"R must be positive with (2R)^2 and 4/R finite, got {big_r}")
     if not 0 < nu < 2 * big_r:
         raise ValueError(f"need 0 < nu < 2R, got nu = {nu}, R = {big_r}")
     if grid_steps < 1000:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,15 @@ def test_rsi_needs_projection_and_samples(quad_20x50):
         estimate_rsi(dual, (-1.0, 1.0), 500)
     with pytest.raises(ValueError):
         estimate_rsi(quad_20x50, (-1.0, 1.0), 50)
+    with pytest.raises(ValueError, match="at least 100 samples"):
+        estimate_rlg(quad_20x50, (-1.0, 1.0), 50)
+    # the sampling box needs finite bounds with hi > lo, in every coordinate
+    for box, message in (((1.0, -1.0), "hi > lo"), ((0.0, 0.0), "hi > lo"),
+                         ((0.0, np.inf), "must be finite, got 0.0 and inf"),
+                         ((np.nan, 1.0), "must be finite, got nan and 1.0")):
+        for estimate in (estimate_rsi, estimate_rlg):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                estimate(quad_20x50, box, 500)
 
 
 def test_rsi_reports_a_nan_ratio():
@@ -467,6 +477,14 @@ def test_check_bounds_rejects_missing_capability():
         check_bounds(tr, dual, "thm2_linear", cfg)
     with pytest.raises(ValueError, match="unknown theorem id"):
         check_bounds(tr, dual, "thm9_missing", cfg)
+    # a gap check reads f_star from the trace alone, whatever the oracle knows
+    quad = make_quadratic_composite(np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match="f_star"):
+        check_bounds(make_trace(np.ones(5), dist=np.ones(5), f_star=None), quad,
+                     "lemma3_growth", cfg)
+    # thm8 needs a positive gap over its best value seen at k = 0 and k = 1
+    with pytest.raises(ValueError, match="no positive-gap prefix"):
+        check_bounds(make_trace(np.ones(5), f_star=None), dual, "thm8_augl1", cfg)
 
 
 def test_thm6_restart_check(quad_20x50):
@@ -533,6 +551,14 @@ def test_fit_too_few_points_raises():
     tr = make_trace(np.concatenate([0.5 ** np.arange(5), np.zeros(20)]))
     with pytest.raises(ValueError, match="need >= 10"):
         fit_rate(tr, "linear_geometric", (0, 24))
+    # an unknown model, a window outside the trace and a log-log fit from k = 0
+    for model, window, message in (("cubic", (0, 24), "unknown rate model 'cubic'"),
+                                   ("linear_geometric", (0, 25), "outside trace of length 25"),
+                                   ("linear_geometric", (-1, 10), "outside trace"),
+                                   ("linear_geometric", (12, 11), "outside trace"),
+                                   ("sublinear_1_over_k", (0, 24), "k >= 1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_rate(tr, model, window)
 
 
 def test_fit_gd_rate_at_least_theorem_bound(quad_20x50):
@@ -582,3 +608,8 @@ def test_appendix_validates_inputs():
         appendix_grid(1.0, 2.5, 1000)  # nu >= 2R
     with pytest.raises(ValueError):
         appendix_grid(1.0, 0.5, 500)  # grid too coarse
+    # R must be positive, and (2R)^2 and 4/R finite
+    for big_r, nu in ((0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+                      (1e-310, 1e-311), (1e308, 1e307), (1e200, 1e200)):
+        with pytest.raises(ValueError, match=re.escape(f"got {big_r}")):
+            appendix_grid(big_r, nu, 1000)

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from gradcert.cli import _write_atomic, main, oracle_from_id, resolve_stepsize
+from gradcert.oracles import KnownConstants
 from gradcert.solvers import _CSV_ROWS, SolverTrace, load_trace_csv
 from gradcert.sparse_recovery import RecoveryResult
 
@@ -75,6 +78,9 @@ def test_resolve_stepsize_rules():
     assert resolve_stepsize(quad, "nesterov", "auto") == pytest.approx(1.0 / quad.constants.R)
     dual = oracle_from_id("augl1:m=20,n=40,k=3,signal=pm_one,seed=2")
     assert resolve_stepsize(dual, "gd", "auto") == pytest.approx(1.0 / dual.constants.L)
+    assert resolve_stepsize(dual, "nesterov", "auto") == 1.0 / dual.constants.L
+    r_only = dataclasses.replace(quad, constants=KnownConstants(R=quad.constants.R))
+    assert resolve_stepsize(r_only, "gd", "auto") == 1.0 / quad.constants.R
     assert resolve_stepsize(quad, "gd", "0.125") == 0.125
     with pytest.raises(ValueError):
         resolve_stepsize(oracle_from_id("f1"), "gd", "auto")
@@ -324,6 +330,22 @@ def test_rates_on_synthetic_trace(tmp_path):
     assert fit["fitted_factor"] == pytest.approx(0.5, rel=1e-9)
 
 
+def test_rates_without_f_star_fits_against_the_best_value_seen(tmp_path):
+    # the augl1 dual has no known f*, so its trace CSV carries none
+    out = tmp_path / "s"
+    assert run_cli("solve", "--oracle", "augl1:m=20,n=40,k=3,signal=pm_one,seed=2",
+                   "--max-iters", "200", "--out", str(out)) == 0
+    trace = load_trace_csv(out / "trace.csv")
+    assert trace.f_star is None
+    assert run_cli("rates", "--input", str(out / "trace.csv"), "--window", "10", "60",
+                   "--out", str(tmp_path / "r")) == 0
+    fit = json.loads((tmp_path / "r" / "ratefit.jsonl").read_text())
+    log_gap = np.log(trace.f[10:61] - np.min(trace.f))
+    slope = np.polyfit(np.arange(10, 61), log_gap, 1)[0]
+    assert fit["window"] == [10, 60] and not fit["truncated"]
+    assert fit["fitted_factor"] == pytest.approx(math.exp(slope), rel=1e-9)
+
+
 def test_recover_paper_test2_configuration(tmp_path):
     out = tmp_path / "rec"
     code = run_cli("recover", "--m", "40", "--n", "80", "--k", "4", "--signal", "pm_one",
@@ -421,6 +443,11 @@ def test_unusable_sampling_box_is_rejected(tmp_path):
     code = run_cli("certify", "--oracle", "f3:beta=9.0", "--which", "rsi",
                    "--box", "-1", "1", "--samples", "500", "--out", str(tmp_path / "z"))
     assert code == 2
+    # an infinite bound is refused before any sample is drawn
+    for which in ("rsi", "rlg"):
+        code = run_cli("certify", "--oracle", "f3:beta=1", "--which", which,
+                       "--box", "0", "inf", "--samples", "1000", "--out", str(tmp_path / "z"))
+        assert code == 2
 
 
 def _long_trace(n, f_star=0.25, dist=True):
