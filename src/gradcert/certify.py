@@ -485,7 +485,7 @@ def check_bounds(
     """Check one displayed per-iteration inequality along a trace.
 
     Each id is a row of `_CHECKS`, checked with slack 1 + 1e-9. A row lists
-    its inequality; the columns it reads; its constants, "R|L" meaning R,
+    its inequality; the trace fields it reads; its constants, "R|L" meaning R,
     else L; its hypotheses on the run; what it states one inequality for
     (n_stated counts them); and its vacuity rule. r_k is ``dist_to_sol``,
     s_k = <g_k, x_k - x_prj> is ``secant`` and gap_k = f_k - f* is
